@@ -1,8 +1,7 @@
 //! Ablations over the design choices `DESIGN.md` calls out:
 //!
-//! 1. Algorithm 2's edge-membership index: the flat oriented adjacency +
-//!    compacting live walk (the default) vs hash table (the paper's
-//!    choice) vs binary search in the CSR,
+//! 1. Algorithm 2's triangle walk: the width-1 frontier kernel (live
+//!    walk + flat oriented probes, the default) vs the paper's hash table,
 //! 2. the partitioner of the external pass (sequential / random / seeded),
 //! 3. the memory budget (M = |G|/4, /8, /16) for TD-bottomup — the knob the
 //!    I/O model trades scans against.
@@ -28,7 +27,6 @@ fn bench_edge_index(c: &mut Criterion) {
     for (label, kind) in [
         ("oriented", EdgeIndexKind::Oriented),
         ("hash", EdgeIndexKind::Hash),
-        ("binary-search", EdgeIndexKind::BinarySearch),
     ] {
         group.bench_with_input(BenchmarkId::new("improved", label), &g, |b, g| {
             let cfg = ImprovedConfig { edge_index: kind };

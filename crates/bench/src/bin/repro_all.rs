@@ -21,7 +21,7 @@ fn main() {
     tables::table_load(scale)
         .print("Snapshot load: TRUSSGR1 parse-load vs TRUSSGR2 mmap/buffered open");
     hotpath::table_hotpath(scale)
-        .print("Hot paths: TD-inmem+ hash vs oriented+compacting, and parallel");
+        .print("Hot paths: TD-inmem+ hash vs the frontier kernel, and parallel");
     let ooc = outofcore::outofcore_bench(scale);
     outofcore::table_outofcore(&ooc)
         .print("Out-of-core decomposition: budget ladder over a mapped GR2 snapshot");

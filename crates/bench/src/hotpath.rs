@@ -1,15 +1,15 @@
 //! The hot-path perf-trajectory bench: support-init and full
-//! decomposition times for the TD-inmem+ edge-index arms (the paper's
-//! hash table vs the flat oriented + compacting-adjacency default) and a
-//! parallel-engine thread ladder, over the whole generator suite.
+//! decomposition times for the two TD-inmem+ arms (the paper's hash
+//! table vs the default width-1 frontier kernel) and a parallel-engine
+//! thread ladder, over the whole generator suite.
 //!
 //! `repro_hotpath` prints the table and writes the machine-readable
 //! `BENCH_6.json` snapshot at the repo root, so future perf PRs can
 //! attribute wins to the right phase and diff against the recorded
 //! trajectory. Cross-checks every arm's decomposition edge-for-edge and
-//! enforces two exit gates: oriented beats hash (the PR-5 bar) and the
+//! enforces two exit gates: the default `inmem+` arm beats hash and the
 //! parallel engine at ≥ 4 threads beats serial `inmem+` end-to-end on
-//! every suite graph (the PR-6 bar).
+//! every suite graph.
 
 use crate::datasets::{bench_graph, scale_factor, BenchScale};
 use crate::table::TableWriter;
@@ -21,7 +21,7 @@ use truss_graph::generators::datasets::{all_datasets, Dataset};
 
 /// One timed arm on one graph.
 pub struct HotpathArm {
-    /// Arm label (`inmem+/hash`, `inmem+/oriented`, `parallel@N`).
+    /// Arm label (`inmem+/hash`, `inmem+`, `parallel@N`).
     pub arm: String,
     /// Worker threads the arm ran with (1 for the serial arms).
     pub threads: usize,
@@ -41,7 +41,8 @@ pub struct HotpathRow {
     pub n: usize,
     /// Edges of the built analogue.
     pub m: usize,
-    /// The timed arms: hash, oriented, then the parallel ladder.
+    /// The timed arms: hash, the default `inmem+`, then the parallel
+    /// ladder.
     pub arms: Vec<HotpathArm>,
 }
 
@@ -143,8 +144,8 @@ pub fn hotpath_rows(scale: BenchScale) -> Vec<HotpathRow> {
 fn hotpath_row(d: Dataset, scale: BenchScale, ladder: &[usize]) -> HotpathRow {
     let g = bench_graph(d, scale);
     let (reference, hash) = improved_arm(&g, EdgeIndexKind::Hash, "inmem+/hash");
-    let (oriented_t, oriented) = improved_arm(&g, EdgeIndexKind::Oriented, "inmem+/oriented");
-    assert_eq!(reference, oriented_t, "{d:?}: oriented arm diverged");
+    let (oriented_t, oriented) = improved_arm(&g, EdgeIndexKind::Oriented, "inmem+");
+    assert_eq!(reference, oriented_t, "{d:?}: inmem+ arm diverged");
     let name = d.spec().name;
     let mut arms = vec![hash, oriented];
     for &threads in ladder {
@@ -220,8 +221,8 @@ pub fn hotpath_json(rows: &[HotpathRow], scale: BenchScale) -> String {
     out
 }
 
-/// Returns whether the oriented arm beat the hash arm on every graph (the
-/// gate `BENCH_5.json` recorded), printing any violation.
+/// Returns whether the default `inmem+` arm beat the hash arm on every
+/// graph (the gate `BENCH_5.json` recorded), printing any violation.
 pub fn oriented_wins_everywhere(rows: &[HotpathRow]) -> bool {
     let mut all = true;
     for row in rows {
@@ -229,7 +230,7 @@ pub fn oriented_wins_everywhere(rows: &[HotpathRow]) -> bool {
         let oriented = &row.arms[1];
         if oriented.total_s >= hash.total_s {
             eprintln!(
-                "hotpath: oriented arm NOT faster on {} ({} vs {})",
+                "hotpath: inmem+ NOT faster than inmem+/hash on {} ({} vs {})",
                 row.dataset,
                 secs(std::time::Duration::from_secs_f64(oriented.total_s)),
                 secs(std::time::Duration::from_secs_f64(hash.total_s)),
@@ -291,7 +292,7 @@ mod tests {
         for row in &rows {
             assert_eq!(row.arms.len(), 2 + ladder.len());
             assert_eq!(row.arms[0].arm, "inmem+/hash");
-            assert_eq!(row.arms[1].arm, "inmem+/oriented");
+            assert_eq!(row.arms[1].arm, "inmem+");
             for (i, &t) in ladder.iter().enumerate() {
                 assert_eq!(row.arms[2 + i].arm, format!("parallel@{t}"));
                 assert_eq!(row.arms[2 + i].threads, t);
@@ -300,12 +301,12 @@ mod tests {
         }
         let json = hotpath_json(&rows, BenchScale::Tiny);
         assert!(json.contains("\"bench\": \"repro_hotpath\""));
-        assert!(json.contains("\"inmem+/oriented\""));
+        assert!(json.contains("\"inmem+\""));
         assert!(json.contains("\"parallel@"));
         assert!(json.contains("\"threads\": "));
         assert_eq!(json.matches("\"dataset\"").count(), rows.len());
         let table = table_hotpath_rows(&rows).render("hotpath");
-        assert!(table.contains("inmem+/oriented"), "{table}");
+        assert!(table.contains("inmem+ "), "{table}");
         // The gates must *run* on tiny rows (their verdict is timing-
         // dependent, so only the shape is asserted here).
         let _ = oriented_wins_everywhere(&rows);

@@ -74,6 +74,9 @@ pub struct BottomUpReport {
     pub io: IoStats,
     /// Iterations of the LowerBounding stage.
     pub lower_bound_iterations: usize,
+    /// Σ sup(e) over the input (= 3 × triangles), from LowerBounding's
+    /// exact supports.
+    pub support_sum: u64,
     /// Number of k-rounds executed.
     pub rounds: usize,
     /// Rounds whose candidate subgraph did not fit in memory (Procedure 9).
@@ -116,6 +119,7 @@ pub fn bottom_up_decompose_in(
 
     let mut report = BottomUpReport {
         lower_bound_iterations: lb.iterations,
+        support_sum: lb.support_sum,
         ..Default::default()
     };
 
@@ -459,7 +463,7 @@ fn peel_pair_bucket(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::decompose::truss_decompose;
+    use crate::decompose::truss_decompose_naive;
     use truss_graph::generators::classic::complete;
     use truss_graph::generators::erdos_renyi::gnm;
     use truss_graph::generators::figures::{figure2_classes, figure2_graph};
@@ -479,13 +483,14 @@ mod tests {
         assert_eq!(d.classes_as_edges(&g), figure2_classes());
         assert_eq!(report.k_max, 5);
         assert!(report.rounds >= 3);
+        assert_eq!(report.support_sum, 57); // 19 triangles
     }
 
     #[test]
     fn matches_in_memory_on_random_graphs() {
         for seed in 0..4 {
             let g = gnm(60, 420, seed);
-            let exact = truss_decompose(&g);
+            let exact = truss_decompose_naive(&g);
             let (d, _) = run(&g, 1 << 20);
             assert_eq!(d.trussness(), exact.trussness(), "seed {seed}");
         }
@@ -495,7 +500,7 @@ mod tests {
     fn matches_with_tiny_budget() {
         for seed in [1u64, 9] {
             let g = gnm(50, 320, seed);
-            let exact = truss_decompose(&g);
+            let exact = truss_decompose_naive(&g);
             // ~64 edges of in-memory candidate budget → Procedure 9 rounds.
             let (d, report) = run(&g, 64 * 64);
             assert_eq!(d.trussness(), exact.trussness(), "seed {seed}");

@@ -10,48 +10,47 @@
 //!    (Steps 6–8) — `O(min(deg u, deg v))` per removal instead of
 //!    `O(deg u + deg v)`.
 //!
-//! The membership test of Step 8 is configurable ([`EdgeIndexKind`]). The
-//! default `Oriented` arm replaces the paper's global edge hash table with
-//! two flat structures: the walk runs over a *compacting live adjacency*
-//! ([`super::live::LiveAdjacency`] — per-vertex live-neighbor arrays with
-//! swap-remove on edge death, so each removal touches only surviving
-//! neighbors), and membership is a binary probe of the oriented
-//! [`ForwardAdjacency`] (one short sorted run per probe instead of a
-//! ~16 B/edge hash map). The paper's hash table survives as the `Hash`
-//! ablation arm; see `docs/ALGORITHMS.md` ("hot-path engineering") for
-//! the cost model.
+//! Two arms implement it ([`EdgeIndexKind`]). The default `Oriented` arm
+//! is the frontier kernel of [`crate::parallel::peel`] on a width-1 pool:
+//! it peels all edges at or below the current level in frontier order
+//! (the PKT schedule, which Kabir & Madduri show is work-efficient at one
+//! thread), walks a live adjacency that drops dead entries as it meets
+//! them, tests membership with a binary probe of the flat oriented
+//! [`truss_triangle::ForwardAdjacency`] that support init already built,
+//! and skips the walk of the final frontier, whose decrements no
+//! surviving edge could read. The `Hash` arm is Algorithm 2 as written —
+//! one edge popped at a time, the static neighbor list walked with
+//! `alive[]` skips, membership in a global hash table — and is the
+//! independent reference the kernel is tested against. See
+//! `docs/ALGORITHMS.md` ("hot-path engineering") for the cost model.
 
 use super::bucket::SupportBuckets;
-use super::live::LiveAdjacency;
 use super::{DecomposeStats, TrussDecomposition};
+use crate::parallel::parallel_truss_decompose_with;
+use crate::pool::ThreadPool;
 use std::time::Instant;
 use truss_graph::hash::FxHashMap;
 use truss_graph::{CsrGraph, EdgeId, VertexId};
 use truss_triangle::count::edge_supports;
-use truss_triangle::ForwardAdjacency;
 
-/// How edge membership (`(v, w) ∈ E_G`, Step 8) is tested.
+/// How the peel finds the triangles a removed edge closes (Steps 6–8).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EdgeIndexKind {
-    /// Binary probe of the flat oriented adjacency, with the removal walk
-    /// running over the compacting live adjacency — the default hot path
-    /// (no hash map, no dead-edge rescans).
+    /// The frontier kernel at width 1: live-adjacency walk, binary probe
+    /// of the flat oriented adjacency — the default hot path (no hash
+    /// map, no dead-edge rescans).
     #[default]
     Oriented,
     /// Hash table keyed by the packed edge pair — the paper's choice
-    /// (expected O(1) per probe). Kept as the ablation arm; walks the
-    /// static adjacency with `alive[]` skips.
+    /// (expected O(1) per probe), walking the static adjacency with
+    /// `alive[]` skips.
     Hash,
-    /// Binary search in the smaller endpoint's sorted neighbor list
-    /// (O(log min-degree) per probe, no extra memory). Ablation
-    /// alternative on the static-adjacency walk.
-    BinarySearch,
 }
 
 /// Tuning knobs for [`truss_decompose_with`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ImprovedConfig {
-    /// Edge-membership index (ablation axis; default oriented).
+    /// Which arm runs (default oriented).
     pub edge_index: EdgeIndexKind,
 }
 
@@ -62,121 +61,29 @@ pub fn truss_decompose(g: &CsrGraph) -> TrussDecomposition {
 
 /// Algorithm 2 with explicit configuration. Returns the decomposition and
 /// the run's [`DecomposeStats`] (peak tracked heap — Table 3's memory
-/// column — plus the support-init vs peel phase split).
+/// column — the support-init vs peel phase split, and the support sum).
 pub fn truss_decompose_with(
     g: &CsrGraph,
     config: ImprovedConfig,
 ) -> (TrussDecomposition, DecomposeStats) {
     match config.edge_index {
-        EdgeIndexKind::Oriented => decompose_oriented(g, |_, _| {}),
-        EdgeIndexKind::Hash | EdgeIndexKind::BinarySearch => decompose_probed(g, config.edge_index),
-    }
-}
-
-/// The `Oriented` hot path: support init and Step-8 membership share one
-/// flat [`ForwardAdjacency`]; the removal walk runs on the compacting
-/// [`LiveAdjacency`]. `inspect` is called after every removal with the
-/// live adjacency and the aliveness array (a no-op closure in production;
-/// the invariant tests hook it).
-pub(crate) fn decompose_oriented<I>(
-    g: &CsrGraph,
-    mut inspect: I,
-) -> (TrussDecomposition, DecomposeStats)
-where
-    I: FnMut(&LiveAdjacency, &[bool]),
-{
-    let m = g.num_edges();
-    // Step 2: supports via O(m^1.5) triangle counting [27, 20], over the
-    // same oriented adjacency the peel will probe.
-    let triangle_start = Instant::now();
-    let fwd = ForwardAdjacency::build(g);
-    let sup = fwd.edge_supports();
-    let triangle_time = triangle_start.elapsed();
-
-    let peel_start = Instant::now();
-    // Step 3: bin sort.
-    let mut buckets = SupportBuckets::new(sup);
-    let mut live = LiveAdjacency::new(g, fwd.vertex_ranks());
-    let mut alive = vec![true; m];
-    let mut trussness = vec![2u32; m];
-
-    let peak_bytes = g.heap_bytes()
-        + fwd.heap_bytes()
-        + live.heap_bytes()
-        + buckets.heap_bytes()
-        + m // alive
-        + m * 4; // trussness
-
-    let mut k = 2u32;
-    // Steps 4–12: repeatedly remove the lowest-support edge. Tracking
-    // `k = max(k, sup + 2)` assigns each removed edge its class directly:
-    // while sup(e) ≤ k − 2 the edge belongs to Φ_k.
-    while let Some((e, s)) = buckets.pop_min() {
-        k = k.max(s + 2);
-        alive[e as usize] = false;
-        trussness[e as usize] = k;
-
-        let edge = g.edge(e);
-        // Remove e first so the walk below never sees it.
-        live.remove(e, edge);
-        // The maintained support is exactly the number of *surviving*
-        // triangles through e (every triangle death decrements its two
-        // surviving edges once), so a support-0 pop needs no walk at all
-        // and any walk can stop after its s-th triangle.
-        if s > 0 {
-            // Step 6: walk the endpoint with fewer *surviving* neighbors
-            // — the live degree, not the static degree the probed arms
-            // use.
-            let (a, b) = if live.degree(edge.u) <= live.degree(edge.v) {
-                (edge.u, edge.v)
-            } else {
-                (edge.v, edge.u)
-            };
-            let rb = fwd.rank(b);
-            let mut found = 0u32;
-            let (ws, es, rs) = live.neighbors(a);
-            for ((&w, &e_aw), &rw) in ws.iter().zip(es).zip(rs) {
-                // e_aw is alive by the live-adjacency invariant. Step 8:
-                // (b, w) ∈ E_G? — binary probe of the oriented adjacency,
-                // ranks fed from the walk (no random rank lookups).
-                let Some(e_bw) = fwd.edge_between_ranked(b, rb, w, rw) else {
-                    continue;
-                };
-                if !alive[e_bw as usize] {
-                    continue;
-                }
-                // Steps 9–10: the triangle {e, e_aw, e_bw} dies with e.
-                buckets.decrement(e_aw);
-                buckets.decrement(e_bw);
-                found += 1;
-                if found == s {
-                    break;
-                }
-            }
-            debug_assert_eq!(found, s, "support diverged from alive triangles");
+        EdgeIndexKind::Oriented => {
+            let (d, stats, _) = parallel_truss_decompose_with(g, &ThreadPool::new(1));
+            (d, stats)
         }
-        inspect(&live, &alive);
+        EdgeIndexKind::Hash => decompose_hash(g),
     }
-
-    (
-        TrussDecomposition::from_trussness(trussness),
-        DecomposeStats {
-            peak_bytes,
-            triangle_time,
-            peel_time: peel_start.elapsed(),
-        },
-    )
 }
 
-/// The static-walk arms (`Hash` and `BinarySearch`): the paper's original
-/// Step 6–8 structure — walk the lower-static-degree endpoint's full CSR
-/// neighbor list with `alive[]` skips, membership via hash table or
-/// binary search.
-fn decompose_probed(g: &CsrGraph, kind: EdgeIndexKind) -> (TrussDecomposition, DecomposeStats) {
+/// The `Hash` arm: the paper's Step 6–8 structure — walk the
+/// lower-static-degree endpoint's full CSR neighbor list with `alive[]`
+/// skips, membership via the global edge hash table.
+fn decompose_hash(g: &CsrGraph) -> (TrussDecomposition, DecomposeStats) {
     let m = g.num_edges();
     // Step 2: supports via O(m^1.5) triangle counting [27, 20].
     let triangle_start = Instant::now();
     let sup = edge_supports(g);
+    let support_sum = sup.iter().map(|&s| u64::from(s)).sum();
     let triangle_time = triangle_start.elapsed();
 
     let peel_start = Instant::now();
@@ -186,18 +93,18 @@ fn decompose_probed(g: &CsrGraph, kind: EdgeIndexKind) -> (TrussDecomposition, D
     let mut trussness = vec![2u32; m];
 
     // Step 8's hash table over E_G (packed key -> edge id).
-    let index: Option<FxHashMap<u64, EdgeId>> = match kind {
-        EdgeIndexKind::Hash => Some(g.iter_edges().map(|(id, e)| (e.key(), id)).collect()),
-        _ => None,
-    };
+    let index: FxHashMap<u64, EdgeId> = g.iter_edges().map(|(id, e)| (e.key(), id)).collect();
 
     let peak_bytes = g.heap_bytes()
         + buckets.heap_bytes()
         + m // alive
         + m * 4 // trussness
-        + index.as_ref().map_or(0, |ix| ix.capacity() * 16);
+        + index.capacity() * 16;
 
     let mut k = 2u32;
+    // Steps 4–12: repeatedly remove the lowest-support edge. Tracking
+    // `k = max(k, sup + 2)` assigns each removed edge its class directly:
+    // while sup(e) ≤ k − 2 the edge belongs to Φ_k.
     while let Some((e, s)) = buckets.pop_min() {
         k = k.max(s + 2);
         alive[e as usize] = false;
@@ -217,15 +124,8 @@ fn decompose_probed(g: &CsrGraph, kind: EdgeIndexKind) -> (TrussDecomposition, D
                 continue;
             }
             // Step 8: (b, w) ∈ E_G?
-            let e_bw = match &index {
-                Some(ix) => match ix.get(&truss_graph::Edge::new(b, w).key()) {
-                    Some(&id) => id,
-                    None => continue,
-                },
-                None => match g.edge_id(b, w) {
-                    Some(id) => id,
-                    None => continue,
-                },
+            let Some(&e_bw) = index.get(&truss_graph::Edge::new(b, w).key()) else {
+                continue;
             };
             if !alive[e_bw as usize] {
                 continue;
@@ -242,6 +142,7 @@ fn decompose_probed(g: &CsrGraph, kind: EdgeIndexKind) -> (TrussDecomposition, D
             peak_bytes,
             triangle_time,
             peel_time: peel_start.elapsed(),
+            support_sum,
         },
     )
 }
@@ -304,31 +205,17 @@ mod tests {
     }
 
     #[test]
-    fn matches_naive_on_random_graphs() {
-        for seed in 0..8 {
-            let g = gnm(70, 500, seed);
-            let a = truss_decompose(&g);
-            let b = truss_decompose_naive(&g);
-            assert_eq!(a.trussness(), b.trussness(), "seed {seed}");
-        }
-    }
-
-    #[test]
-    fn all_edge_indexes_agree() {
-        for seed in [3u64, 17] {
-            let g = gnm(90, 900, seed);
-            let (reference, _) = truss_decompose_with(
-                &g,
-                ImprovedConfig {
-                    edge_index: EdgeIndexKind::Oriented,
-                },
-            );
-            for kind in [EdgeIndexKind::Hash, EdgeIndexKind::BinarySearch] {
+    fn both_arms_match_naive_on_random_graphs() {
+        let graphs = (0..8).map(|seed| (seed, gnm(70, 500, seed)));
+        for (seed, g) in graphs.chain([3u64, 17].map(|seed| (seed, gnm(90, 900, seed)))) {
+            let reference = truss_decompose_naive(&g);
+            for kind in [EdgeIndexKind::Oriented, EdgeIndexKind::Hash] {
                 let (d, _) = truss_decompose_with(&g, ImprovedConfig { edge_index: kind });
                 assert_eq!(
                     reference.trussness(),
                     d.trussness(),
-                    "{kind:?} diverges, seed {seed}"
+                    "{kind:?} diverges, m = {}, seed {seed}",
+                    g.num_edges()
                 );
             }
         }
@@ -337,43 +224,14 @@ mod tests {
     #[test]
     fn phase_stats_are_populated() {
         let g = gnm(80, 700, 5);
-        for kind in [
-            EdgeIndexKind::Oriented,
-            EdgeIndexKind::Hash,
-            EdgeIndexKind::BinarySearch,
-        ] {
+        let support_sum: u64 = edge_supports(&g).iter().map(|&s| u64::from(s)).sum();
+        for kind in [EdgeIndexKind::Oriented, EdgeIndexKind::Hash] {
             let (_, stats) = truss_decompose_with(&g, ImprovedConfig { edge_index: kind });
             assert!(stats.peak_bytes > 0, "{kind:?}");
             // Phase timers are disjoint measured sections; both ran.
             assert!(stats.triangle_time.as_nanos() > 0, "{kind:?}");
             assert!(stats.peel_time.as_nanos() > 0, "{kind:?}");
-        }
-    }
-
-    #[test]
-    fn live_adjacency_matches_alive_filter_mid_peel() {
-        // The compacting-adjacency invariant, checked *during* real peels:
-        // after every removal, each vertex's live segment must equal the
-        // alive[]-filtered static adjacency. Random graphs plus a planted
-        // clique (dense core peeled last — the regime compaction exists
-        // for).
-        let mut graphs: Vec<CsrGraph> = (0..3).map(|seed| gnm(40, 260, seed)).collect();
-        let base = gnm(120, 420, 9);
-        graphs.push(truss_graph::generators::planted::planted_clique(
-            &base, 10, 4,
-        ));
-        for (i, g) in graphs.iter().enumerate() {
-            let mut checks = 0usize;
-            let (d, _) = decompose_oriented(g, |live, alive| {
-                live.assert_matches(g, alive);
-                checks += 1;
-            });
-            assert_eq!(checks, g.num_edges(), "graph {i}");
-            assert_eq!(
-                d.trussness(),
-                truss_decompose_naive(g).trussness(),
-                "graph {i}"
-            );
+            assert_eq!(stats.support_sum, support_sum, "{kind:?}");
         }
     }
 

@@ -2,11 +2,9 @@
 
 pub mod bucket;
 pub mod improved;
-pub mod live;
 pub mod naive;
 
 pub use improved::{truss_decompose, truss_decompose_with, EdgeIndexKind, ImprovedConfig};
-pub use live::LiveAdjacency;
 pub use naive::truss_decompose_naive;
 
 use std::time::Duration;
@@ -14,10 +12,11 @@ use truss_graph::section::SectionBuf;
 use truss_graph::{CsrGraph, Edge, EdgeId};
 
 /// Phase accounting of an in-memory decomposition run: the peak tracked
-/// heap plus the wall time split between the two hot phases — support
-/// initialization (triangle counting) and the peel proper. Surfaced as
-/// [`crate::engine::EngineReport::triangle_time`] / `peel_time` so perf
-/// work can attribute wins to the right phase.
+/// heap, the wall time split between the two hot phases — support
+/// initialization (triangle counting) and the peel proper — and the
+/// support sum that initialization counted. Surfaced as
+/// [`crate::engine::EngineReport::triangle_time`] / `peel_time` /
+/// `support_sum` so perf work can attribute wins to the right phase.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct DecomposeStats {
     /// Peak tracked heap usage in bytes (Table 3's memory column).
@@ -26,6 +25,8 @@ pub struct DecomposeStats {
     pub triangle_time: Duration,
     /// Time spent peeling (bucket pops, walks, decrements).
     pub peel_time: Duration,
+    /// Σ sup(e) over the input's edges = 3 × its triangle count.
+    pub support_sum: u64,
 }
 
 /// The result of a truss decomposition: the truss number `ϕ(e)` of every

@@ -22,6 +22,7 @@ pub fn truss_decompose_naive_with_memory(g: &CsrGraph) -> (TrussDecomposition, D
     // Steps 2–3: initialize supports by neighborhood intersection.
     let triangle_start = Instant::now();
     let mut sup = edge_supports_by_intersection(g);
+    let support_sum = sup.iter().map(|&s| u64::from(s)).sum();
     let triangle_time = triangle_start.elapsed();
     let peel_start = Instant::now();
     let mut alive = vec![true; m];
@@ -80,6 +81,7 @@ pub fn truss_decompose_naive_with_memory(g: &CsrGraph) -> (TrussDecomposition, D
             peak_bytes: peak,
             triangle_time,
             peel_time: peel_start.elapsed(),
+            support_sum,
         },
     )
 }

@@ -30,7 +30,6 @@ use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 use truss_graph::{CsrGraph, GraphError};
 use truss_storage::{IoConfig, IoStats, ScratchDir, StorageError};
-use truss_triangle::count::edge_supports;
 
 /// Every decomposition algorithm the workspace knows about.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -145,8 +144,9 @@ pub struct EngineConfig {
     /// Worker threads for the parallel engine (`0` = machine width;
     /// serial engines ignore this).
     pub threads: usize,
-    /// Compute the triangle/support counters for the report (one extra
-    /// O(m^1.5) in-memory pass; skip for very large graphs).
+    /// Report the triangle/support counters. Every engine counts them
+    /// during its own support initialization, so this only decides
+    /// whether [`EngineReport::triangles`] / `support_sum` are filled.
     pub collect_support_stats: bool,
 }
 
@@ -229,7 +229,7 @@ pub struct EngineReport {
     /// Canonical name of the algorithm that ran.
     pub algorithm: String,
     /// End-to-end wall time of the algorithm proper (excludes input
-    /// loading and the optional support-stats pass).
+    /// loading).
     pub wall_time: Duration,
     /// Wall time of the support-initialization (triangle counting) phase,
     /// for the engines that split their run into phases (the in-memory
@@ -275,7 +275,8 @@ pub struct EngineReport {
     pub io: IoStats,
     /// Largest `k` with a non-empty class.
     pub k_max: u32,
-    /// Triangle count of the input (when support stats were collected).
+    /// Triangle count of the input, from the engine's own support count
+    /// (when [`EngineConfig::collect_support_stats`] is set).
     pub triangles: Option<u64>,
     /// Σ sup(e) over all edges = 3 × triangles (when collected).
     pub support_sum: Option<u64>,
@@ -541,7 +542,10 @@ pub fn warn_budget_clamped(kind: AlgorithmKind, configured: usize, effective: us
     );
 }
 
-/// Fills the input-derived counters shared by every engine.
+/// Fills the counters shared by every engine: `k_max`, the mapped input
+/// bytes, and — when [`EngineConfig::collect_support_stats`] is set — the
+/// triangle and support counters from `support_sum`, the Σ sup(e) the
+/// engine's own support initialization counted.
 ///
 /// Engine implementations (including out-of-crate ones like TD-MR) call
 /// this once after the timed section.
@@ -550,13 +554,13 @@ pub fn finish_report(
     g: &CsrGraph,
     d: &TrussDecomposition,
     config: &EngineConfig,
+    support_sum: u64,
 ) {
     report.k_max = d.k_max();
     report.mapped_bytes = g.mapped_bytes();
     if config.collect_support_stats {
-        let sum: u64 = edge_supports(g).iter().map(|&s| s as u64).sum();
-        report.support_sum = Some(sum);
-        report.triangles = Some(sum / 3);
+        report.support_sum = Some(support_sum);
+        report.triangles = Some(support_sum / 3);
     }
 }
 
@@ -582,7 +586,7 @@ impl TrussEngine for InmemEngine {
         report.peak_memory_estimate = stats.peak_bytes;
         report.triangle_time = Some(stats.triangle_time);
         report.peel_time = Some(stats.peel_time);
-        finish_report(&mut report, &g, &d, config);
+        finish_report(&mut report, &g, &d, config, stats.support_sum);
         Ok((d, report))
     }
 }
@@ -609,7 +613,7 @@ impl TrussEngine for InmemPlusEngine {
         report.peak_memory_estimate = stats.peak_bytes;
         report.triangle_time = Some(stats.triangle_time);
         report.peel_time = Some(stats.peel_time);
-        finish_report(&mut report, &g, &d, config);
+        finish_report(&mut report, &g, &d, config, stats.support_sum);
         Ok((d, report))
     }
 }
@@ -644,7 +648,7 @@ impl TrussEngine for BottomUpEngine {
         report.io = algo_report.io;
         report.rounds = Some(algo_report.rounds as u64);
         report.lower_bound_iterations = Some(algo_report.lower_bound_iterations as u64);
-        finish_report(&mut report, &g, &d, config);
+        finish_report(&mut report, &g, &d, config, algo_report.support_sum);
         Ok((d, report))
     }
 }
@@ -685,7 +689,7 @@ impl TrussEngine for TopDownEngine {
         report.io = algo_report.io;
         report.rounds = Some(algo_report.rounds as u64);
         report.k_first = Some(algo_report.k_first);
-        finish_report(&mut report, &g, &d, config);
+        finish_report(&mut report, &g, &d, config, algo_report.support_sum);
         Ok((d, report))
     }
 }
@@ -729,7 +733,9 @@ impl TrussEngine for OutOfCoreEngine {
         report.spill_bytes_written = Some(algo_report.spill_bytes_written);
         report.spill_bytes_read = Some(algo_report.spill_bytes_read);
         report.spill_drain_overlap = Some(algo_report.spill_drain_overlap);
-        finish_report(&mut report, &g, &d, config);
+        // The budgeted support pass counts each triangle once.
+        let support_sum = 3 * algo_report.support.triangles;
+        finish_report(&mut report, &g, &d, config, support_sum);
         Ok((d, report))
     }
 }

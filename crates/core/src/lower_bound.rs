@@ -28,6 +28,9 @@ pub struct LowerBoundOutput {
     /// All remaining edges, sorted by edge key; `sup` is the exact global
     /// support, `bound` the lower bound `φ(e) ≥ 3`.
     pub g_new: EdgeListFile,
+    /// Σ sup(e) over every input edge (= 3 × triangles), summed from
+    /// the exact supports.
+    pub support_sum: u64,
     /// Partition iterations used.
     pub iterations: usize,
     /// Parts materialized across all iterations.
@@ -82,10 +85,12 @@ pub fn lower_bounding(
     let mut phi2 = EdgeListFile::create(scratch.file("phi2"), tracker.clone())?;
     let mut g_new = EdgeListFile::create(scratch.file("gnew"), tracker.clone())?;
     let mut err: Option<truss_storage::StorageError> = None;
+    let mut support_sum = 0u64;
     pass.finalized.scan(|mut rec| {
         if err.is_some() {
             return;
         }
+        support_sum += u64::from(rec.sup);
         let res = if rec.sup == 0 {
             rec.bound = 2;
             phi2.push(rec)
@@ -107,6 +112,7 @@ pub fn lower_bounding(
     Ok(LowerBoundOutput {
         phi2: phi2.finish()?,
         g_new: g_new.finish()?,
+        support_sum,
         iterations: pass.iterations,
         parts: pass.parts_processed,
     })
@@ -154,7 +160,7 @@ mod tests {
     fn bounds_are_valid_lower_bounds() {
         for budget in [1usize << 20, 220 * 32] {
             let g = gnm(50, 350, 3);
-            let exact = crate::decompose::truss_decompose(&g);
+            let exact = crate::decompose::truss_decompose_naive(&g);
             let (phi2, g_new) = run(&g, budget, true);
             for rec in &phi2 {
                 let id = g.edge_id(rec.edge.u, rec.edge.v).unwrap();
@@ -179,7 +185,7 @@ mod tests {
         // iterations, supports must still be counted against the original
         // graph.
         let g = gnm(80, 600, 7);
-        let exact = crate::decompose::truss_decompose(&g);
+        let exact = crate::decompose::truss_decompose_naive(&g);
         let (phi2, g_new) = run(&g, 150 * 32, true);
         let expected_phi2: usize = exact.trussness().iter().filter(|&&t| t == 2).count();
         assert_eq!(phi2.len(), expected_phi2);

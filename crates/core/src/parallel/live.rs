@@ -1,19 +1,21 @@
-//! The periodically *compacted* live adjacency of the parallel peel.
+//! The periodically *compacted* live adjacency of the frontier peel.
 //!
-//! The serial TD-inmem+ peel keeps its live adjacency exact with an O(1)
-//! swap-remove per edge death ([`crate::decompose::live::LiveAdjacency`]).
-//! That design is inherently sequential: the `pos` table that makes
-//! removal O(1) is mutated from both endpoints of every dying edge, so
-//! concurrent frontier processing would race on it. The parallel peel
-//! instead *never removes eagerly*. Dead entries linger in the columns
-//! (the epoch/state array already filters them during the walk, exactly
-//! as it filtered the full static CSR before) and a bulk-synchronous
-//! **compaction** pass — trivially parallel because every vertex segment
-//! is independent — filters them out once enough garbage accumulates.
+//! An exact live adjacency — an O(1) swap-remove from both endpoints'
+//! lists on every edge death, through a per-edge position table — is
+//! inherently sequential: that table is mutated from both endpoints of
+//! every dying edge, so concurrent frontier processing would race on it.
+//! Fan-out sub-iterations therefore *never remove*. Dead entries linger
+//! in the columns (the epoch/state array already filters them during the
+//! walk, exactly as it filtered the full static CSR before) and a
+//! bulk-synchronous **compaction** pass — trivially parallel because every
+//! vertex segment is independent — filters them out once enough garbage
+//! accumulates. Single-worker sub-iterations (every sub-iteration of
+//! TD-inmem+) swap-remove the dead entries their own walk meets instead
+//! ([`FrontierAdjacency::swap_remove_entry`]), which needs no position
+//! table.
 //!
-//! Layout matches the serial structure minus `pos`: the static CSR shape
-//! (`offsets`) with mutable `verts`/`eids`/`nbr_ranks` columns and a
-//! per-vertex live count. Vertex `v`'s surviving entries occupy
+//! Layout: the static CSR shape (`offsets`) with mutable
+//! `verts`/`eids`/`nbr_ranks` columns and a per-vertex live count. Vertex `v`'s surviving entries occupy
 //! `offsets[v] .. offsets[v] + live_deg[v]`; compaction preserves their
 //! relative order but the walk never relies on it (membership tests go
 //! through [`ForwardAdjacency::edge_between_ranked`] probes, not merges,

@@ -52,8 +52,9 @@ pub fn parallel_truss_decompose(g: &CsrGraph, threads: usize) -> TrussDecomposit
 }
 
 /// Decomposes `g` on an existing pool, also returning the run's
-/// [`DecomposeStats`] (peak memory, support-init vs peel wall-time split)
-/// and the peeling phase counters.
+/// [`DecomposeStats`] (peak memory, support-init vs peel wall-time split,
+/// support sum) and the peeling phase counters. At width 1 this is the
+/// default TD-inmem+ arm ([`crate::decompose::truss_decompose`]).
 ///
 /// Support initialization runs over the shared flat
 /// [`ForwardAdjacency`] — all workers enumerate one read-only
@@ -70,6 +71,7 @@ pub fn parallel_truss_decompose_with(
     let fwd = ForwardAdjacency::build_par(g, pool.workers());
     let fwd_bytes = fwd.heap_bytes();
     let sup = edge_supports_fwd_par(&fwd, pool.workers());
+    let support_sum = sup.iter().map(|&s| u64::from(s)).sum();
     let triangle_time = triangle_start.elapsed();
     let peel_start = Instant::now();
     let (trussness, stats) = peel::peel(g, &fwd, sup, pool);
@@ -92,6 +94,7 @@ pub fn parallel_truss_decompose_with(
             peak_bytes: peak,
             triangle_time,
             peel_time: peel_start.elapsed(),
+            support_sum,
         },
         stats,
     )
@@ -126,7 +129,7 @@ impl TrussEngine for ParallelEngine {
         report.peel_levels = Some(stats.levels as u64);
         report.peel_sub_iterations = Some(stats.sub_iterations);
         report.peel_compactions = Some(stats.compactions as u64);
-        finish_report(&mut report, &g, &d, config);
+        finish_report(&mut report, &g, &d, config, run.support_sum);
         Ok((d, report))
     }
 }
@@ -173,7 +176,12 @@ mod tests {
     fn matches_serial_on_dataset_analogue() {
         let d = truss_graph::generators::datasets::Dataset::P2p;
         let g = d.build_scaled(d.spec().default_scale * 0.02, 42);
-        let serial = crate::decompose::truss_decompose(&g);
+        let (serial, _) = crate::decompose::truss_decompose_with(
+            &g,
+            crate::decompose::ImprovedConfig {
+                edge_index: crate::decompose::EdgeIndexKind::Hash,
+            },
+        );
         for threads in [2, 8] {
             // Unclamped so the multi-worker paths run even on a small box.
             let pool = ThreadPool::unclamped(threads);

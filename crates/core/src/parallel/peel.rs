@@ -105,6 +105,13 @@
 //! triangles (both drop by one when a shared triangle retires), so the
 //! `found == sup(e)` early exit and the crossing logic behave
 //! identically.
+//!
+//! The last sub-iteration of every peel holds every edge still alive
+//! (`processed + |frontier| = m`), so no edge survives it and none of the
+//! decrements its walk would apply is ever read: it is assigned `k`
+//! without a walk, at any width. When the top class is a dense core —
+//! lj's planted 362-clique holds about half of that graph's triangles —
+//! this skips about half the peel.
 
 use crate::parallel::live::FrontierAdjacency;
 use crate::pool::{ThreadPool, SPAWN_WORK_FLOOR};
@@ -245,6 +252,17 @@ pub fn peel(
         }
         stats.levels += 1;
         while !curr.is_empty() {
+            stats.sub_iterations += 1;
+            max_frontier = max_frontier.max(curr.len());
+            if processed + curr.len() == m {
+                // The final frontier: no edge survives this sub-iteration,
+                // so no decrement its walk could apply is ever read.
+                for &e in &curr {
+                    trussness[e as usize] = k;
+                }
+                processed = m;
+                break;
+            }
             if dead_stored > 0 && dead_stored * 4 >= stored_entries {
                 let threads = if stored_entries <= SPAWN_WORK_FLOOR as u64 {
                     1
@@ -258,8 +276,6 @@ pub fn peel(
                 stored_entries -= dropped;
                 dead_stored = 0;
             }
-            stats.sub_iterations += 1;
-            max_frontier = max_frontier.max(curr.len());
             let ctx = Ctx {
                 g,
                 fwd,
@@ -629,8 +645,12 @@ fn flush(ctx: &Ctx<'_>, loc: &mut Local) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use truss_graph::generators::classic::star;
+    use crate::decompose::naive::truss_decompose_naive;
+    use crate::decompose::{truss_decompose_with, EdgeIndexKind, ImprovedConfig};
+    use truss_graph::generators::classic::{complete, star};
     use truss_graph::generators::erdos_renyi::gnm;
+    use truss_graph::generators::planted::planted_clique;
+    use truss_graph::Edge;
 
     // Unclamped pools: these tests exist to exercise the fan-out paths
     // (block scheduler, BSP decrement rules, barrier compaction), which a
@@ -663,34 +683,77 @@ mod tests {
     #[test]
     fn empty_levels_are_skipped_not_iterated() {
         // K_12: every edge has support 10, one class at k = 12. The level
-        // loop must skip the empty buckets for k = 3..11 without work.
-        let g = truss_graph::generators::classic::complete(12);
+        // loop must skip the empty buckets for k = 3..11 without work, and
+        // the one frontier is the final one: assigned without a walk, so
+        // nothing is ever compacted.
+        let g = complete(12);
         let (t, stats) = peel_with(&g, 2);
         assert!(t.iter().all(|&x| x == 12));
         assert_eq!(stats.levels, 1);
+        assert_eq!(stats.sub_iterations, 1);
+        assert_eq!(stats.compactions, 0);
     }
 
     #[test]
-    fn matches_serial_on_random_graphs() {
+    fn matches_naive_on_random_graphs() {
         for seed in 0..6 {
             let g = gnm(70, 520, seed);
-            let serial = crate::decompose::truss_decompose(&g);
+            let naive = truss_decompose_naive(&g);
             for threads in [1, 2, 4, 8] {
                 let (t, _) = peel_with(&g, threads);
-                assert_eq!(t, serial.trussness(), "seed {seed}, {threads} threads");
+                assert_eq!(t, naive.trussness(), "seed {seed}, {threads} threads");
+            }
+        }
+    }
+
+    /// Disjoint cliques on consecutive vertex ranges.
+    fn disjoint_cliques(sizes: &[usize]) -> CsrGraph {
+        let mut edges = Vec::new();
+        let mut base = 0u32;
+        for &n in sizes {
+            let n = n as u32;
+            for u in base..base + n {
+                edges.extend((u + 1..base + n).map(|v| Edge::new(u, v)));
+            }
+            base += n;
+        }
+        CsrGraph::from_edges(edges)
+    }
+
+    #[test]
+    fn large_final_frontiers_match_naive() {
+        // Graphs whose last sub-iteration peels a dense class at once —
+        // the frontier the walk-free rule assigns without walking — after
+        // lower levels that still walk and decrement into it.
+        let graphs = [
+            ("K_40", complete(40)),
+            ("cliques 7/13/26", disjoint_cliques(&[13, 7, 26])),
+            ("planted K_30", planted_clique(&gnm(400, 900, 5), 30, 2)),
+        ];
+        for (name, g) in &graphs {
+            let naive = truss_decompose_naive(g);
+            for threads in [1, 2, 4] {
+                let (t, stats) = peel_with(g, threads);
+                assert_eq!(t, naive.trussness(), "{name}, {threads} threads");
+                assert_eq!(stats.levels as usize, naive.class_sizes().len(), "{name}");
             }
         }
     }
 
     #[test]
-    fn fanout_path_matches_serial_on_denser_graph() {
+    fn fanout_path_matches_hash_arm_on_denser_graph() {
         // Big enough that the first levels exceed SPAWN_WORK_FLOOR and the
         // cost-balanced block scheduler, parallel seeding and parallel
         // compaction all actually run multi-threaded.
         let g = gnm(1500, 30_000, 3);
-        let serial = crate::decompose::truss_decompose(&g);
+        let (reference, _) = truss_decompose_with(
+            &g,
+            ImprovedConfig {
+                edge_index: EdgeIndexKind::Hash,
+            },
+        );
         let (t, stats) = peel_with(&g, 4);
-        assert_eq!(t, serial.trussness());
+        assert_eq!(t, reference.trussness());
         assert!(stats.compactions > 0, "dense peel never compacted");
         assert!(stats.compacted_entries <= 2 * g.num_edges() as u64);
     }

@@ -250,7 +250,7 @@ mod tests {
     fn psi_upper_bounds_trussness() {
         for seed in 0..4 {
             let g = gnm(60, 420, seed);
-            let exact = crate::decompose::truss_decompose(&g);
+            let exact = crate::decompose::truss_decompose_naive(&g);
             for rec in psi_for(&g) {
                 let id = g.edge_id(rec.edge.u, rec.edge.v).unwrap();
                 let t = exact.edge_trussness(id);

@@ -49,7 +49,7 @@ impl TrussEngine for MrEngine {
         report.rounds = Some(algo_report.peel_iterations);
         report.mr_jobs = Some(algo_report.stats.jobs);
         report.mr_shuffled_records = Some(algo_report.stats.shuffled_records);
-        finish_report(&mut report, &g, &d, config);
+        finish_report(&mut report, &g, &d, config, algo_report.support_sum);
         Ok((d, report))
     }
 }

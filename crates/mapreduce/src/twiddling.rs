@@ -45,15 +45,18 @@ pub struct MrTrussReport {
     pub io: IoStats,
     /// Total peeling iterations (each is a 6-job pipeline).
     pub peel_iterations: u64,
+    /// Σ sup(e) over the input (= 3 × triangles): the first iteration's
+    /// J6 counts, taken while every edge is still present.
+    pub support_sum: u64,
 }
 
 /// One peeling iteration at threshold `need = k − 2`. Returns the surviving
-/// edge file and the dropped edges.
+/// edge file, the dropped edges, and the Σ of the supports J6 counted.
 fn peel_iteration(
     mr: &mut MapReduce,
     edges: &RecordFile<KvRec>,
     need: u32,
-) -> Result<(RecordFile<KvRec>, Vec<Edge>)> {
+) -> Result<(RecordFile<KvRec>, Vec<Edge>, u64)> {
     // J1: degrees.
     let degrees = mr.run(
         &[edges],
@@ -217,11 +220,13 @@ fn peel_iteration(
     // Split survivors from dropped (a local filter pass, not an MR job).
     let mut survivors = RecordFile::<KvRec>::create(mr.scratch().file("mr-edges"), mr.tracker())?;
     let mut dropped = Vec::new();
+    let mut support_sum = 0u64;
     let mut err: Option<StorageError> = None;
     joined.scan(|rec| {
         if err.is_some() {
             return;
         }
+        support_sum += u64::from(rec.vals[2]);
         if rec.tag == TAG_EDGE {
             if let Err(e) = survivors.push(KvRec::new(
                 rec.key,
@@ -238,7 +243,7 @@ fn peel_iteration(
         return Err(e);
     }
     joined.delete()?;
-    Ok((survivors.finish()?, dropped))
+    Ok((survivors.finish()?, dropped, support_sum))
 }
 
 /// Computes the `k`-truss edge set with the MR pipeline (iterate until no
@@ -256,7 +261,11 @@ pub fn mr_ktruss(g: &CsrGraph, k: u32, io: IoConfig) -> Result<(Vec<Edge>, MrTru
     let mut report = MrTrussReport::default();
     loop {
         report.peel_iterations += 1;
-        let (survivors, dropped) = peel_iteration(&mut mr, &edges, k.saturating_sub(2))?;
+        let (survivors, dropped, support_sum) =
+            peel_iteration(&mut mr, &edges, k.saturating_sub(2))?;
+        if report.peel_iterations == 1 {
+            report.support_sum = support_sum;
+        }
         edges.delete()?;
         edges = survivors;
         if dropped.is_empty() || edges.is_empty() {
@@ -303,7 +312,10 @@ pub fn mr_truss_decompose_in(
     while !edges.is_empty() {
         loop {
             report.peel_iterations += 1;
-            let (survivors, dropped) = peel_iteration(&mut mr, &edges, k - 2)?;
+            let (survivors, dropped, support_sum) = peel_iteration(&mut mr, &edges, k - 2)?;
+            if report.peel_iterations == 1 {
+                report.support_sum = support_sum;
+            }
             edges.delete()?;
             edges = survivors;
             let progressed = !dropped.is_empty();

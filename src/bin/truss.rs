@@ -306,9 +306,10 @@ impl DecomposeFlags {
         })
     }
 
-    /// Engine configuration for `g`. Support stats cost an extra O(m^1.5)
-    /// pass, so they are collected only when the report is requested; the
-    /// engines clamp the budget via `EngineConfig::effective_io`.
+    /// Engine configuration for `g`. The triangle and support counters
+    /// come from each engine's own support count and are reported only
+    /// when the report is requested; the engines clamp the budget via
+    /// `EngineConfig::effective_io`.
     fn engine_config(&self, g: &CsrGraph) -> EngineConfig {
         let mut config = EngineConfig::sized_for(g);
         if let Some(budget) = self.memory {

@@ -2,6 +2,7 @@
 
 use std::path::PathBuf;
 use std::process::Command;
+use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 use truss_decomposition::engine::AlgorithmKind;
 
 fn truss_bin() -> Command {
@@ -43,9 +44,12 @@ fn temp_file(name: &str) -> PathBuf {
     dir.join(name)
 }
 
-/// Writes the Figure 2 graph as a SNAP file and returns the path.
+/// Writes the Figure 2 graph as a SNAP file and returns the path. Every
+/// call gets its own file: tests run in parallel, and rewriting a shared
+/// one would truncate it under another test's still-running child.
 fn figure2_file() -> PathBuf {
-    let path = temp_file("figure2.snap");
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    let path = temp_file(&format!("figure2-{}.snap", NEXT.fetch_add(1, Relaxed)));
     let g = truss_decomposition::graph::generators::figure2_graph();
     let f = std::fs::File::create(&path).unwrap();
     truss_decomposition::graph::io::write_snap(&g, f).unwrap();

@@ -17,6 +17,7 @@ use truss_decomposition::engine::{
 use truss_decomposition::graph::generators as gen;
 use truss_decomposition::graph::{CsrGraph, Edge};
 use truss_decomposition::storage::IoConfig;
+use truss_decomposition::triangle::count::edge_supports;
 
 /// The generator suite: name + graph.
 fn suite() -> Vec<(String, CsrGraph)> {
@@ -67,16 +68,15 @@ fn suite() -> Vec<(String, CsrGraph)> {
     graphs
 }
 
-/// Engine configuration with the given memory budget and stats collection
-/// off (the suite runs hundreds of decompositions). The engines themselves
-/// clamp the budget up to the algorithmic minimum via `effective_io`.
+/// Engine configuration with the given memory budget. Support stats stay
+/// on, so every [`run`] also checks the engine's own triangle count. The
+/// engines themselves clamp the budget up to the algorithmic minimum via
+/// `effective_io`.
 fn config_with_budget(budget: usize) -> EngineConfig {
-    let mut config = EngineConfig::with_io(IoConfig {
+    EngineConfig::with_io(IoConfig {
         memory_budget: budget,
         block_size: (budget / 8).max(64),
-    });
-    config.collect_support_stats = false;
-    config
+    })
 }
 
 /// The TD-MR baseline is slow by design; skip it on larger suite graphs.
@@ -98,6 +98,15 @@ fn run(
         .run(EngineInput::Graph(g), config)
         .unwrap_or_else(|e| panic!("{label}: {kind}: {e}"));
     assert_eq!(report.k_max, d.k_max(), "{label}: {kind} report k_max");
+    if let Some(support_sum) = report.support_sum {
+        let expect: u64 = edge_supports(g).iter().map(|&s| u64::from(s)).sum();
+        assert_eq!(support_sum, expect, "{label}: {kind} report support_sum");
+        assert_eq!(
+            report.triangles,
+            Some(expect / 3),
+            "{label}: {kind} report triangles"
+        );
+    }
     d
 }
 
@@ -134,14 +143,15 @@ fn all_engines_agree_pairwise() {
 /// The parallel engine matches the serial reference on every suite graph
 /// at every thread count — the acceptance bar for `--algo parallel
 /// --threads N`. Thread counts beyond the frontier size and beyond the
-/// machine width are included deliberately.
+/// machine width are included deliberately. The reference is TD-inmem:
+/// TD-inmem+ runs the parallel engine's own kernel at width 1.
 #[test]
 fn parallel_engine_matches_serial_across_thread_counts() {
     let engines = registry();
     for (name, g) in suite() {
         let exact = run(
             &engines,
-            AlgorithmKind::InmemPlus,
+            AlgorithmKind::Inmem,
             &g,
             &config_with_budget(1 << 20),
             &name,
@@ -157,7 +167,7 @@ fn parallel_engine_matches_serial_across_thread_counts() {
             assert_eq!(
                 d.trussness(),
                 exact.trussness(),
-                "{name}: parallel@{threads} vs inmem+"
+                "{name}: parallel@{threads} vs inmem"
             );
         }
     }
@@ -217,6 +227,9 @@ fn outofcore_engine_matches_serial_across_thread_counts() {
 /// direct path) is what must prove stable here.
 #[test]
 fn parallel_peel_is_deterministic_across_wide_ladders() {
+    use truss_decomposition::core::decompose::{
+        truss_decompose_with, EdgeIndexKind, ImprovedConfig,
+    };
     use truss_decomposition::core::parallel::parallel_truss_decompose_with;
     use truss_decomposition::core::pool::ThreadPool;
     let graphs = [
@@ -225,7 +238,11 @@ fn parallel_peel_is_deterministic_across_wide_ladders() {
         ("gnm-dense", gen::gnm(1200, 24_000, 9)),
     ];
     for (name, g) in graphs {
-        let reference = truss_decomposition::prelude::truss_decompose(&g);
+        // The paper's hash-table arm: independent of the frontier kernel.
+        let hash = ImprovedConfig {
+            edge_index: EdgeIndexKind::Hash,
+        };
+        let (reference, _) = truss_decompose_with(&g, hash);
         for threads in [16usize, 32] {
             let pool = ThreadPool::unclamped(threads);
             for rep in 0..2 {
@@ -241,7 +258,9 @@ fn parallel_peel_is_deterministic_across_wide_ladders() {
 }
 
 /// The external engines stay correct when the budget is squeezed far below
-/// the graph size (exercising partitioned pair-sweep paths).
+/// the graph size (exercising partitioned pair-sweep paths and spilled
+/// out-of-core shards), and their reported triangle counts — taken from
+/// their own budgeted support passes — still match the in-memory count.
 #[test]
 fn external_engines_survive_tiny_budgets() {
     let engines = registry();
@@ -254,7 +273,11 @@ fn external_engines_survive_tiny_budgets() {
             &name,
         );
         let tiny = config_with_budget(6 * 1024);
-        for kind in [AlgorithmKind::BottomUp, AlgorithmKind::TopDown] {
+        for kind in [
+            AlgorithmKind::BottomUp,
+            AlgorithmKind::TopDown,
+            AlgorithmKind::OutOfCore,
+        ] {
             let d = run(&engines, kind, &g, &tiny, &name);
             assert_eq!(
                 d.trussness(),

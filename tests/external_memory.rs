@@ -4,6 +4,7 @@
 use truss_decomposition::core::bottom_up::{bottom_up_decompose, BottomUpConfig};
 use truss_decomposition::core::decompose::truss_decompose;
 use truss_decomposition::core::top_down::{top_down_decompose, TopDownConfig};
+use truss_decomposition::engine::{BottomUpEngine, EngineConfig, EngineInput, TrussEngine};
 use truss_decomposition::graph::generators as gen;
 use truss_decomposition::storage::{IoConfig, IoTracker, ScratchDir, StorageError};
 use truss_decomposition::triangle::external::{
@@ -96,20 +97,16 @@ fn external_supports_io_scales_with_iterations() {
 
 #[test]
 fn scratch_space_is_reclaimed() {
-    let before: Vec<_> = std::fs::read_dir(std::env::temp_dir())
-        .unwrap()
-        .filter_map(|e| e.ok())
-        .filter(|e| e.file_name().to_string_lossy().starts_with("truss-scratch"))
-        .collect();
-    {
-        let g = gen::gnm(40, 200, 1);
-        let io = IoConfig::with_budget(1 << 14);
-        let _ = bottom_up_decompose(&g, &BottomUpConfig::new(io)).unwrap();
-    }
-    let after: Vec<_> = std::fs::read_dir(std::env::temp_dir())
-        .unwrap()
-        .filter_map(|e| e.ok())
-        .filter(|e| e.file_name().to_string_lossy().starts_with("truss-scratch"))
-        .collect();
-    assert!(after.len() <= before.len(), "scratch dirs leaked");
+    // Point the engine at a scratch root of its own: sibling tests create
+    // and remove their own scratch dirs in the shared temp dir meanwhile.
+    let base = std::env::temp_dir().join(format!("truss-reclaim-test-{}", std::process::id()));
+    std::fs::create_dir_all(&base).unwrap();
+    let g = gen::gnm(40, 200, 1);
+    let mut config = EngineConfig::with_budget(1 << 14);
+    config.scratch_dir = Some(base.clone());
+    let (_, report) = BottomUpEngine.run(EngineInput::Graph(&g), &config).unwrap();
+    assert!(report.io.bytes_written > 0, "the run never spilled");
+    let left = std::fs::read_dir(&base).unwrap().count();
+    std::fs::remove_dir_all(&base).unwrap();
+    assert_eq!(left, 0, "scratch dirs leaked");
 }
