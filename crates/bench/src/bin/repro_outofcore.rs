@@ -1,6 +1,6 @@
 //! Out-of-core acceptance bench: decompose a graph whose GR2 snapshot
 //! exceeds every configured memory budget, with the `outofcore` engine
-//! running over the mapped snapshot — serial and 4-thread arms, each
+//! running over the mapped snapshot — width-1 and width-4 arms, each
 //! warm and with the page cache evicted — and write the
 //! machine-readable `BENCH_9.json` snapshot (to `TRUSS_BENCH_OUT`,
 //! default `BENCH_9.json` in the current directory). Scale with
@@ -11,7 +11,7 @@
 //! or the snapshot fails to exceed a configured budget. There is no
 //! `TRUSS_GATE=warn` escape for these gates: they are the acceptance
 //! criteria of the out-of-core engine, not timing comparisons. The
-//! parallel-vs-serial speedups are reported (warm and cold separately)
+//! width-4-vs-width-1 speedups are reported (warm and cold separately)
 //! but not gated — on a 1-core machine only the fault-bound cold arm
 //! can meaningfully benefit from extra workers.
 
@@ -22,7 +22,7 @@ fn main() {
     let scale = BenchScale::Default;
     let bench = outofcore::outofcore_bench(scale);
     outofcore::table_outofcore(&bench)
-        .print("Out-of-core decomposition: budget ladder x {1, 4} threads x {warm, cold} cache");
+        .print("Out-of-core decomposition: budget ladder x width {1, 4} x {warm, cold} cache");
     println!(
         "snapshot: {} bytes; minimum budget: {} bytes; in-memory baseline peak RSS: {}",
         bench.snapshot_bytes,
@@ -33,7 +33,7 @@ fn main() {
     );
     for s in outofcore::speedups(&bench) {
         println!(
-            "parallel speedup @ budget {}: warm {:.2}x, cold {:.2}x",
+            "width-4 speedup over width 1 @ budget {}: warm {:.2}x, cold {:.2}x",
             s.configured_budget, s.warm, s.cold
         );
     }

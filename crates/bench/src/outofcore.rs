@@ -3,13 +3,13 @@
 //! the `outofcore` engine over the *mapped* snapshot and measuring true
 //! peak RSS (`VmHWM` delta) per budget rung.
 //!
-//! Each budget rung runs a 2x2 grid of arms: {serial 1-thread, parallel
-//! 4-thread} x {warm page cache, cold page cache}. The cold arm evicts
-//! the snapshot from the page cache (`posix_fadvise(DONTNEED)`) before
-//! opening it, so every mapped access major-faults against the disk —
-//! the regime the shard-parallel passes exist for, since concurrent
-//! workers overlap their fault stalls where a serial pass serializes
-//! them.
+//! Each budget rung runs a 2x2 grid of arms: {width 1, width 4} x
+//! {warm page cache, cold page cache}. Both widths run the same engine
+//! (width 1 is a one-worker pool). The cold arm evicts the snapshot from
+//! the page cache (`posix_fadvise(DONTNEED)`) before opening it, so every
+//! mapped access major-faults against the disk — the regime the
+//! shard-parallel passes exist for, since concurrent workers overlap
+//! their fault stalls where a single worker serializes them.
 //!
 //! Two gates, both correctness properties with no `TRUSS_GATE=warn`
 //! escape:
@@ -46,8 +46,8 @@ pub const RSS_SLACK_NUM: u64 = 3;
 /// Denominator of the slack ratio.
 pub const RSS_SLACK_DEN: u64 = 2;
 
-/// The worker widths each rung is measured at: the serial baseline and
-/// the parallel engine. Widths are handed to the engine verbatim (its
+/// The worker widths each rung is measured at: width 1 (the baseline)
+/// and width 4. Widths are handed to the engine verbatim (its
 /// pool is unclamped), so the parallel arm is genuinely 4 workers even
 /// on a 1-core machine — there the win comes from overlapping fault and
 /// spill stalls, not from extra cores.
@@ -110,13 +110,13 @@ pub struct OutOfCoreBench {
     pub rows: Vec<OutOfCoreRow>,
 }
 
-/// The parallel-vs-serial headline for one budget rung.
+/// The width-4-vs-width-1 headline for one budget rung.
 pub struct Speedup {
     /// The rung's configured budget, bytes.
     pub configured_budget: u64,
-    /// Serial warm wall / parallel warm wall.
+    /// Width-1 warm wall / width-4 warm wall.
     pub warm: f64,
-    /// Serial cold wall / parallel cold wall.
+    /// Width-1 cold wall / width-4 cold wall.
     pub cold: f64,
 }
 
@@ -266,22 +266,22 @@ pub fn outofcore_bench(scale: BenchScale) -> OutOfCoreBench {
     }
 }
 
-/// Pairs each rung's serial and parallel rows into warm/cold speedups
-/// (serial wall over parallel wall; > 1 means the parallel arm won).
+/// Pairs each rung's width-1 and width-4 rows into warm/cold speedups
+/// (width-1 wall over width-4 wall; > 1 means the wider arm won).
 pub fn speedups(bench: &OutOfCoreBench) -> Vec<Speedup> {
     let mut out = Vec::new();
-    for serial in bench.rows.iter().filter(|r| r.threads == 1) {
+    for w1 in bench.rows.iter().filter(|r| r.threads == 1) {
         let Some(par) = bench
             .rows
             .iter()
-            .find(|r| r.threads > 1 && r.configured_budget == serial.configured_budget)
+            .find(|r| r.threads > 1 && r.configured_budget == w1.configured_budget)
         else {
             continue;
         };
         out.push(Speedup {
-            configured_budget: serial.configured_budget,
-            warm: serial.wall_warm_s / par.wall_warm_s.max(1e-9),
-            cold: serial.wall_cold_s / par.wall_cold_s.max(1e-9),
+            configured_budget: w1.configured_budget,
+            warm: w1.wall_warm_s / par.wall_warm_s.max(1e-9),
+            cold: w1.wall_cold_s / par.wall_cold_s.max(1e-9),
         });
     }
     out
@@ -289,7 +289,7 @@ pub fn speedups(bench: &OutOfCoreBench) -> Vec<Speedup> {
 
 /// True iff every hard gate holds: zero mismatches, RSS under the
 /// limit, and the snapshot strictly larger than every configured
-/// budget. (The parallel-vs-serial timing comparison is reported, not
+/// budget. (The width-4-vs-width-1 timing comparison is reported, not
 /// gated here: on a 1-core machine the warm arms share one CPU and the
 /// comparison is only meaningful for the fault-bound cold arms.)
 pub fn gates_clean(bench: &OutOfCoreBench) -> bool {
@@ -305,7 +305,7 @@ pub fn table_outofcore(bench: &OutOfCoreBench) -> TableWriter {
     let mut t = TableWriter::new(vec![
         "budget",
         "effective",
-        "thr",
+        "width",
         "shards",
         "warm (s)",
         "cold (s)",

@@ -12,19 +12,21 @@
 //! boundaries are chosen on the edge section (edge ids are lexicographic
 //! in `(u, v)`, so a vertex range owns a contiguous edge-id range), the
 //! support phase builds the oriented adjacency one shard at a time
-//! ([`support`]), and the peel runs shard-resident rounds with spilled
-//! cross-shard traffic ([`peel`]). Per-edge state lives in a disk
+//! ([`support`]), and the peel runs two-phase epochs with spilled
+//! cross-shard traffic, walking triangles only for edges that still have
+//! unretired ones ([`peel`]). Per-edge state lives in a disk
 //! [`state::StateFile`]; cross-shard records flow through the bucketed
 //! [`spill::SpillBuckets`].
 //!
-//! Heap during the run is `O(n + m/8 + budget)`: the degree-rank array
-//! (support phase only), the alive bitset, and budget-bounded chunks,
-//! buffers and windows. The final `4m`-byte trussness vector is
+//! Heap during the run is `O(n + m/4 + budget)`: the degree-rank array
+//! (support phase only), the peel's two per-edge bitsets, and
+//! budget-bounded chunks, buffers and windows. The final `4m`-byte trussness vector is
 //! materialized only after every window is released.
 //!
 //! The engine is shard-parallel ([`OutOfCoreConfig::threads`]): support
-//! passes schedule shards over a worker pool, the peel runs two-phase
-//! epochs ([`peel::external_peel_par`]), spill appends go through a
+//! passes schedule shards over a worker pool, the peel runs its epochs
+//! on the same pool ([`peel::external_peel`]; width 1 is a one-worker
+//! pool, not a separate code path), spill appends go through a
 //! background [`spill::SpillDrain`], and the window budget is split into
 //! per-worker sub-accountants so summed residency still honors the
 //! global budget. Workers here block on `pread` and page faults, so the
@@ -64,8 +66,8 @@ pub struct OutOfCoreConfig {
     /// Forced shard count (tests, proptests); `None` sizes shards so one
     /// shard's working set fits a quarter of the budget.
     pub shards: Option<usize>,
-    /// Worker threads for the shard passes and the epoch peel; `1` is
-    /// the serial cascade, `0` means machine width. Spawned unclamped —
+    /// Worker threads for the shard passes and the epoch peel; `1` runs
+    /// them inline, `0` means machine width. Spawned unclamped —
     /// these workers overlap I/O stalls, not CPU (see module docs).
     pub threads: usize,
 }
@@ -334,32 +336,18 @@ pub fn outofcore_decompose_in(
     let triangle_time = t0.elapsed();
 
     let t1 = Instant::now();
-    let (trussness, peel) = if workers == 1 {
-        peel::external_peel(
-            g,
-            &plan,
-            &mut window,
-            scratch,
-            &tracker,
-            buf_cap,
-            &sup,
-            &mut min_sup,
-            &drain,
-        )?
-    } else {
-        peel::external_peel_par(
-            g,
-            &plan,
-            &mut window,
-            scratch,
-            &tracker,
-            buf_cap,
-            &sup,
-            &mut min_sup,
-            &pool,
-            &drain,
-        )?
-    };
+    let (trussness, peel) = peel::external_peel(
+        g,
+        &plan,
+        &mut window,
+        scratch,
+        &tracker,
+        buf_cap,
+        &sup,
+        &mut min_sup,
+        &pool,
+        &drain,
+    )?;
     let peel_time = t1.elapsed();
     sup.delete()?;
     drain.quiesce();
@@ -406,15 +394,76 @@ pub(crate) fn row_slices(g: &CsrGraph, lo: VertexId, hi: VertexId) -> (&[VertexI
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::decompose::truss_decompose;
-    use truss_graph::generators::{figure2_graph, gnm, rmat, RmatConfig};
+    use crate::decompose::truss_decompose_naive;
+    use truss_graph::generators::{
+        complete, complete_bipartite, figure2_graph, gnm, grid, path, planted_clique, rmat, star,
+        RmatConfig,
+    };
+    use truss_graph::Edge;
 
-    fn assert_matches_inmem(g: &CsrGraph, cfg: &OutOfCoreConfig) {
-        let expect = truss_decompose(g);
+    fn assert_matches_naive(g: &CsrGraph, cfg: &OutOfCoreConfig) {
+        let expect = truss_decompose_naive(g);
         let (got, report) = outofcore_decompose(g, cfg).unwrap();
         assert_eq!(got.trussness(), expect.trussness());
         assert_eq!(got.k_max(), expect.k_max());
         assert!(report.io.bytes_written > 0, "state file traffic expected");
+    }
+
+    /// Runs `g` at widths 1, 2 and 4 over forced shard counts 1, 3 and 7,
+    /// checks every run against the naive peel, and returns the largest
+    /// `walks` count seen.
+    fn max_walks_over_grid(name: &str, g: &CsrGraph) -> u64 {
+        let expect = truss_decompose_naive(g);
+        let mut walks = 0;
+        for threads in [1usize, 2, 4] {
+            for shards in [1usize, 3, 7] {
+                let cfg = OutOfCoreConfig::with_shards(IoConfig::with_budget(1 << 20), shards)
+                    .with_threads(threads);
+                let (got, report) = outofcore_decompose(g, &cfg).unwrap();
+                assert_eq!(
+                    got.trussness(),
+                    expect.trussness(),
+                    "{name}: threads={threads} shards={shards}"
+                );
+                assert!(report.peel.epochs > 0 || g.num_edges() == 0, "{name}");
+                walks = walks.max(report.peel.walks);
+            }
+        }
+        walks
+    }
+
+    /// Edges that close at least one triangle.
+    fn supported_edges(g: &CsrGraph) -> u64 {
+        truss_triangle::edge_supports(g)
+            .iter()
+            .filter(|&&s| s > 0)
+            .count() as u64
+    }
+
+    fn graph(edges: impl IntoIterator<Item = (u32, u32)>) -> CsrGraph {
+        CsrGraph::from_edges(edges.into_iter().map(|(u, v)| Edge::new(u, v)))
+    }
+
+    /// `g`'s edges plus `extra`, as one graph.
+    fn with_edges(g: &CsrGraph, extra: impl IntoIterator<Item = (u32, u32)>) -> CsrGraph {
+        graph(g.edges().iter().map(|e| (e.u, e.v)).chain(extra))
+    }
+
+    /// Cliques of the given sizes on consecutive vertex ranges; with
+    /// `share`, each clique's first two vertices are the previous
+    /// clique's last two, so neighbors share one edge.
+    fn clique_chain(sizes: &[u32], share: bool) -> Vec<(u32, u32)> {
+        let mut edges = Vec::new();
+        let mut base = 0u32;
+        for &k in sizes {
+            for u in base..base + k {
+                for v in u + 1..base + k {
+                    edges.push((u, v));
+                }
+            }
+            base += if share { k - 2 } else { k };
+        }
+        edges
     }
 
     #[test]
@@ -445,17 +494,17 @@ mod tests {
         let g = figure2_graph();
         for s in [1usize, 2, 4, 7] {
             let cfg = OutOfCoreConfig::with_shards(IoConfig::with_budget(1 << 20), s);
-            assert_matches_inmem(&g, &cfg);
+            assert_matches_naive(&g, &cfg);
         }
     }
 
     #[test]
     fn parallel_workers_match_inmem_across_shard_counts() {
         let g = gnm(400, 3000, 0x7a11);
-        for (threads, shards) in [(2usize, 5usize), (4, 3), (4, 11), (8, 7)] {
+        let expect = truss_decompose_naive(&g);
+        for (threads, shards) in [(1usize, 4usize), (2, 5), (4, 3), (4, 11), (8, 7)] {
             let cfg = OutOfCoreConfig::with_shards(IoConfig::with_budget(1 << 19), shards)
                 .with_threads(threads);
-            let expect = truss_decompose(&g);
             let (got, report) = outofcore_decompose(&g, &cfg).unwrap();
             assert_eq!(
                 got.trussness(),
@@ -463,8 +512,97 @@ mod tests {
                 "threads={threads} shards={shards}"
             );
             assert_eq!(report.threads, threads);
-            assert!(report.peel.epochs > 0, "parallel peel must run epochs");
+            assert!(report.peel.epochs > 0, "every width runs the epoch peel");
         }
+    }
+
+    #[test]
+    fn support_zero_edges_never_walk() {
+        // Triangle-free graphs: every edge has support 0 and dies at
+        // k = 2 without a walk. Alone, that first epoch is also the final
+        // one; beside a K_5
+        // (support 3, walk-free in its own final epoch) it is not, so the
+        // support-0 rule alone must keep it from walking.
+        let k5 = clique_chain(&[5], false)
+            .into_iter()
+            .map(|(u, v)| (u + 500, v + 500));
+        let graphs = [
+            ("path", path(60)),
+            ("star", star(300)),
+            ("K_5,7", complete_bipartite(5, 7)),
+            ("grid", grid(8, 9)),
+            ("star beside K_5", with_edges(&star(300), k5.clone())),
+            ("grid beside K_5", with_edges(&grid(8, 9), k5)),
+        ];
+        for (name, g) in &graphs {
+            assert_eq!(max_walks_over_grid(name, g), 0, "{name}");
+        }
+    }
+
+    #[test]
+    fn support_zero_kills_beside_same_epoch_deaths() {
+        // A K_3, K_4 and K_6 joined by bridging edges, stars and pendant
+        // paths on clique vertices (support 0 from the start), and a fan
+        // whose inner spokes reach support 0 only after the rim edges
+        // die — so support-0 kills share epochs with edges that walk.
+        let mut extra = clique_chain(&[3, 4, 6], false);
+        extra.extend([(2, 3), (2, 4), (6, 7), (6, 8)]);
+        for (i, hub) in [0u32, 3, 7].into_iter().enumerate() {
+            let first = 100 * (i as u32 + 1);
+            extra.extend((first..first + 20 + 30 * i as u32).map(|leaf| (hub, leaf)));
+        }
+        for (i, anchor) in [1u32, 5, 9].into_iter().enumerate() {
+            let start = 500 + 10 * i as u32;
+            extra.push((anchor, start));
+            extra.extend((start..start + 6).map(|v| (v, v + 1)));
+        }
+        // The fan: hub 600 over the rim path 601..=620, tied to vertex 0.
+        extra.extend((601..=620).map(|v| (600, v)));
+        extra.extend((601..620).map(|v| (v, v + 1)));
+        extra.extend([(0, 600), (0, 601)]);
+        let g = with_edges(&gnm(640, 350, 0x51a5), extra);
+        let walks = max_walks_over_grid("glued", &g);
+        assert!(walks > 0);
+        assert!(walks <= supported_edges(&g), "{walks} walks");
+    }
+
+    #[test]
+    fn walks_stop_after_unretired_triangles() {
+        // Consecutive cliques share an edge, so a shared edge's support
+        // counts both cliques' triangles; when the smaller clique dies
+        // first, the shared edge later walks with `c < sup(e)` and stops
+        // partway through its rows. The K_9 keeps K_7's level from being
+        // the final (walk-free) epoch.
+        let g = graph(clique_chain(&[4, 7, 5, 9, 6, 3], true));
+        let walks = max_walks_over_grid("clique chain", &g);
+        assert!(walks > 0 && walks <= supported_edges(&g));
+        let noisy = with_edges(&gnm(60, 150, 0xc4a1), clique_chain(&[5, 8, 4, 7], true));
+        max_walks_over_grid("clique chain over G(n,m)", &noisy);
+
+        // An exact stop: (0, 1) closes triangles with 2 and 3. The first
+        // retires at k = 3 before (0, 1) dies, so (0, 1) walks with c = 1
+        // past the retired apex 2 and must still reach apex 3 — its
+        // decrement is what lets (0, 3) die at k = 4 rather than 5.
+        let mut edges = vec![(0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (1, 15), (1, 16)];
+        for clique in [[0u32, 10, 11, 12, 13, 14], [3, 10, 11, 15, 16, 17]] {
+            for (i, &u) in clique.iter().enumerate() {
+                edges.extend(clique[i + 1..].iter().map(|&v| (u, v)));
+            }
+        }
+        let g = graph(edges);
+        let f = g.edge_id(0, 3).expect("edge (0, 3)");
+        assert_eq!(truss_decompose_naive(&g).edge_trussness(f), 4);
+        max_walks_over_grid("stop past a retired apex", &g);
+    }
+
+    #[test]
+    fn final_epoch_does_not_walk() {
+        // The planted K_30 is the last class: it dies in one epoch that
+        // kills every live edge, so none of its 435 edges walks.
+        let g = planted_clique(&gnm(400, 900, 5), 30, 2);
+        let walks = max_walks_over_grid("planted K_30", &g);
+        assert!(walks + 435 <= supported_edges(&g), "{walks} walks");
+        assert_eq!(max_walks_over_grid("K_12", &complete(12)), 0);
     }
 
     #[test]
@@ -484,14 +622,14 @@ mod tests {
         // depend on the configured number.
         let g = gnm(300, 2500, 0xbadb);
         let cfg = OutOfCoreConfig::with_shards(IoConfig::with_budget(1), 7);
-        assert_matches_inmem(&g, &cfg);
+        assert_matches_naive(&g, &cfg);
     }
 
     #[test]
     fn rmat_skew_exercises_empty_shards() {
         let g = rmat(RmatConfig::skewed(8, 3000), 0x5eed);
         let cfg = OutOfCoreConfig::with_shards(IoConfig::with_budget(1 << 18), 7);
-        assert_matches_inmem(&g, &cfg);
+        assert_matches_naive(&g, &cfg);
     }
 
     #[test]

@@ -1,45 +1,53 @@
-//! Level-synchronous shard-resident peeling over the disk support array.
+//! The epoch peel over the disk support array.
 //!
-//! The peel keeps only `O(m/8 + chunk + buffers)` bytes in heap: an
-//! alive bitset, one shard's support chunk, and bounded decrement
-//! buckets. At each level `k` it sweeps the shards; a shard is visited
-//! when it has pending cross-shard decrements or its cached minimum live
-//! support says it holds peelable edges. A visit loads the shard's
-//! support chunk, applies drained decrements, seeds a local stack with
-//! every live edge of support `≤ k − 2`, and peels to a fixed point:
-//! peeling `e = (a, b)` merge-intersects the two neighbor rows — `a` is
-//! always in-shard (windowed mapping access), while `b`'s row is a
-//! random foreign read served by `pread` on the snapshot file so it
-//! never faults mapping pages in — decrementing surviving triangle
-//! partners in place (same shard) or
-//! through the spill buckets (elsewhere). Dead edges' chunk slots are
+//! The peel keeps only `O(m/4 + chunk + buffers)` bytes in heap: two
+//! per-edge bitsets (`alive`, `died_epoch`), one shard's support chunk
+//! per worker, and bounded decrement buckets. Dead edges' chunk slots are
 //! overwritten with their truss number `k`, so when the last edge dies
 //! the state file *is* the decomposition.
 //!
-//! Sweeps repeat until no shard qualifies, then `k` jumps to
-//! `min(min_sup) + 2` — the same level-skipping the in-memory peel does.
-//!
-//! # Parallel peel: level-synchronous epochs
-//!
-//! [`external_peel_par`] replaces the within-shard cascade with
-//! *epochs*, each a two-phase fork-join over disjoint shards:
+//! At each level `k` the peel runs *epochs*, each a two-phase fork-join
+//! over disjoint shards on the worker pool (width 1 is a one-worker
+//! pool), until no shard qualifies; then `k` jumps to `min(min_sup) + 2`
+//! — the same level-skipping the in-memory peel does.
 //!
 //! * **Phase A** (state only, no graph access): every qualifying shard —
 //!   pending decrements or peelable minimum — loads its support chunk,
 //!   applies all workers' buffered decrements (alive-guarded), kills its
-//!   frontier `{alive, sup ≤ k − 2}` (clearing `alive`, setting
-//!   `died_epoch`, stamping the slot with `k`), writes the chunk back
-//!   and recomputes its live minimum.
-//! * **Phase B** (graph only, state read-only): every edge killed in
-//!   phase A enumerates its triangles by merge-intersecting its
-//!   endpoints' rows. The bitsets are frozen during the phase, so every
-//!   worker classifies a triangle identically: a partner that died in
-//!   an *earlier* epoch means the triangle was already retired (skip);
-//!   otherwise the dying edges of the triangle are `D = {e} ∪ {partners
-//!   with died_epoch}`, and only `min(D)` emits decrements for the
-//!   still-alive partners — exactly-once retirement without any
-//!   within-epoch ordering. Decrements buffer in per-worker buckets and
-//!   apply at the next epoch's phase A.
+//!   frontier `{alive, sup ≤ k − 2}` (clearing `alive`, stamping the slot
+//!   with `k`), writes the chunk back and recomputes its live minimum.
+//! * **Phase B** (graph only, state read-only): the killed edges that
+//!   walk are marked in `died_epoch` at the barrier, then enumerate
+//!   their triangles by merge-intersecting their endpoints' rows — the
+//!   lower endpoint's row is in-shard (windowed mapping access), the
+//!   upper one's a random foreign read served by `pread` on the snapshot
+//!   file so it never faults mapping pages in. The bitsets are frozen
+//!   during the phase, so every worker classifies a triangle
+//!   identically: a partner dead before this epoch means the triangle
+//!   was already *retired* (skip); otherwise the dying edges of the
+//!   triangle are `D = {e} ∪ {partners with died_epoch}`, and only
+//!   `min(D)` emits decrements for the still-alive partners —
+//!   exactly-once retirement without any within-epoch ordering.
+//!   Decrements buffer in per-worker buckets and apply at the next
+//!   epoch's phase A.
+//!
+//! # Cost rules
+//!
+//! Phase A applies every pending decrement before it kills, so a killed
+//! edge's chunk value `c` is exactly its number of unretired triangles.
+//! Three rules make phase B pay per triangle, not per edge:
+//!
+//! * **Support-0 kills do not walk.** An edge with `c = 0` dies and is
+//!   stamped `k`, but neither sets `died_epoch` nor enters phase B. Safe:
+//!   each of its triangles has a partner dead in an earlier epoch, which
+//!   makes every other walker skip that triangle whatever this edge's
+//!   bits say.
+//! * **Walks stop after `c`.** A walk ends once it has seen `c`
+//!   unretired triangles, whichever dying edge owns them. Safe: there are
+//!   exactly `c`, so nothing past the stop can be unretired.
+//! * **The final epoch does not walk.** An epoch that kills every live
+//!   edge skips phase B. Safe: its decrements could only reach live
+//!   edges, and none is left to read them.
 //!
 //! Trussness is a unique function of the graph, so any exact peel order
 //! gives byte-identical output — the epoch schedule changes wall-clock
@@ -66,39 +74,14 @@ pub struct PeelStats {
     pub decs_spilled: u64,
     /// Bulk window resets forced by stray foreign-row reads.
     pub window_flushes: u64,
-    /// Epoch barriers crossed (0 in the serial cascade).
+    /// Epoch barriers crossed.
     pub epochs: u64,
+    /// Killed edges whose triangles phase B enumerated.
+    pub walks: u64,
     /// Bytes of spill runs the peel handed to disk.
     pub spill_bytes_written: u64,
     /// Bytes of spill runs the peel read back.
     pub spill_bytes_read: u64,
-}
-
-/// Packed per-edge liveness.
-struct Bitset {
-    words: Vec<u64>,
-}
-
-impl Bitset {
-    fn all_set(len: usize) -> Bitset {
-        let mut words = vec![!0u64; len.div_ceil(64)];
-        if !len.is_multiple_of(64) {
-            if let Some(last) = words.last_mut() {
-                *last = (1u64 << (len % 64)) - 1;
-            }
-        }
-        Bitset { words }
-    }
-
-    #[inline]
-    fn get(&self, i: u32) -> bool {
-        self.words[(i / 64) as usize] >> (i % 64) & 1 == 1
-    }
-
-    #[inline]
-    fn clear(&mut self, i: u32) {
-        self.words[(i / 64) as usize] &= !(1u64 << (i % 64));
-    }
 }
 
 /// Packed per-edge bits shared across workers. Shard-boundary edges can
@@ -144,222 +127,26 @@ impl AtomicBitset {
     }
 }
 
-/// Peels every edge, returning the trussness array (edge id → truss
-/// number, every entry ≥ 2). `sup` must hold exact supports on entry;
-/// on exit it holds the same values this function returns. Spill
-/// appends overlap the cascade via `drain`.
-#[allow(clippy::too_many_arguments)]
-pub fn external_peel(
-    g: &CsrGraph,
-    plan: &ShardPlan,
-    window: &mut Window,
-    scratch: &ScratchDir,
-    tracker: &IoTracker,
-    buf_cap: usize,
-    sup: &StateFile,
-    min_sup: &mut [u32],
-    drain: &Arc<SpillDrain>,
-) -> Result<(Vec<u32>, PeelStats)> {
-    let m = g.num_edges();
-    let s_count = plan.num_shards();
-    let mut stats = PeelStats::default();
-    let mut alive = Bitset::all_set(m);
-    let mut alive_left = m as u64;
-    let mut decs: SpillBuckets<IncRec> = SpillBuckets::with_drain(
-        scratch,
-        "dec",
-        s_count,
-        buf_cap,
-        tracker.clone(),
-        Arc::clone(drain),
-    );
-
-    // Whole-section handles for the bulk stray-page flush.
-    let (all_nbrs, all_eids) = super::row_slices(g, 0, g.num_vertices() as u32);
-    let edges = g.edges();
-
-    let mut chunk: Vec<u32> = Vec::new();
-    let mut stack: Vec<u32> = Vec::new();
-    // Reused buffers for foreign-row reads: `pread` on the snapshot file
-    // instead of a mapping access, so the peel's random probes never
-    // fault pages in.
-    let mut fnb: Vec<u32> = Vec::new();
-    let mut fib: Vec<u32> = Vec::new();
-    let mut k = 2u32;
-    while alive_left > 0 {
-        let floor = min_sup.iter().copied().min().unwrap_or(u32::MAX);
-        debug_assert_ne!(floor, u32::MAX, "live edges but every shard empty");
-        k = k.max(floor.saturating_add(2));
-        stats.levels += 1;
-
-        // Sweep to a fixed point at this level.
-        loop {
-            let mut progressed = false;
-            for (s, shard_min) in min_sup.iter_mut().enumerate() {
-                let has_decs = decs.pending(s);
-                if !has_decs && *shard_min > k - 2 {
-                    continue;
-                }
-                let (e_lo, e_hi) = plan.edge_range(s);
-                if e_lo == e_hi {
-                    // Nothing to peel; decrements to an empty shard are
-                    // impossible by construction.
-                    continue;
-                }
-                progressed = true;
-                stats.shard_visits += 1;
-
-                chunk.clear();
-                chunk.resize(e_hi - e_lo, 0);
-                sup.read_chunk(e_lo, &mut chunk)?;
-                decs.drain(s, |r| {
-                    if alive.get(r.e) {
-                        let slot = &mut chunk[r.e as usize - e_lo];
-                        *slot = slot.saturating_sub(r.c);
-                    }
-                })?;
-
-                // Window the shard's graph footprint: its vertex rows and
-                // its slice of the edges section.
-                let (v_lo, v_hi) = plan.vertex_range(s);
-                let (nbr_rows, eid_rows) = super::row_slices(g, v_lo, v_hi);
-                let shard_edges = &edges[e_lo..e_hi];
-                window.need(nbr_rows);
-                window.need(eid_rows);
-                window.need(shard_edges);
-                tracker.record_read(
-                    (std::mem::size_of_val(nbr_rows) * 2 + std::mem::size_of_val(shard_edges))
-                        as u64,
-                );
-
-                stack.clear();
-                for e in e_lo..e_hi {
-                    if alive.get(e as u32) && chunk[e - e_lo] <= k - 2 {
-                        stack.push(e as u32);
-                    }
-                }
-
-                while let Some(e) = stack.pop() {
-                    if !alive.get(e) {
-                        continue;
-                    }
-                    alive.clear(e);
-                    alive_left -= 1;
-                    // Slot reuse: the dead edge's support becomes its
-                    // truss number.
-                    chunk[e as usize - e_lo] = k;
-
-                    let edge = edges[e as usize];
-                    let (na, ia) = (g.neighbors(edge.u), g.neighbor_edge_ids(edge.u));
-                    // edge.u < edge.v and the shard owns edge.u's row;
-                    // edge.v's rows are random foreign reads. Served
-                    // through the mapping they would fault in a whole
-                    // readahead cluster per probe and blow the budget, so
-                    // they go through the no-fault `pread` path; the heap
-                    // fallback reads the slices (free there) with a
-                    // conservative stray charge to keep the accounting
-                    // model exercised on every platform.
-                    let (nb, ib): (&[u32], &[u32]) =
-                        if g.copy_row_nofault(edge.v, &mut fnb, &mut fib) {
-                            tracker.record_read((std::mem::size_of_val(&fnb[..]) * 2) as u64);
-                            (&fnb, &fib)
-                        } else {
-                            let nb = g.neighbors(edge.v);
-                            let ib = g.neighbor_edge_ids(edge.v);
-                            window.note_span(nb);
-                            window.note_span(ib);
-                            (nb, ib)
-                        };
-
-                    let (mut i, mut j) = (0usize, 0usize);
-                    while i < na.len() && j < nb.len() {
-                        match na[i].cmp(&nb[j]) {
-                            std::cmp::Ordering::Less => i += 1,
-                            std::cmp::Ordering::Greater => j += 1,
-                            std::cmp::Ordering::Equal => {
-                                let (e_aw, e_bw) = (ia[i], ib[j]);
-                                i += 1;
-                                j += 1;
-                                if !alive.get(e_aw) || !alive.get(e_bw) {
-                                    continue;
-                                }
-                                for f in [e_aw, e_bw] {
-                                    let fs = plan.edge_shard(f);
-                                    if fs == s {
-                                        let slot = &mut chunk[f as usize - e_lo];
-                                        let old = *slot;
-                                        *slot = old.saturating_sub(1);
-                                        // Push exactly on the crossing so
-                                        // no edge enters the stack twice
-                                        // from decrements.
-                                        if old > k - 2 && *slot <= k - 2 {
-                                            stack.push(f);
-                                        }
-                                    } else {
-                                        decs.push(fs, IncRec { e: f, c: 1 })?;
-                                    }
-                                }
-                            }
-                        }
-                    }
-
-                    if window.over_budget() {
-                        // Stray foreign rows have scattered fault-around
-                        // clusters outside every declared window: drop the
-                        // graph sections wholesale and re-declare the
-                        // shard. The edges section must flush too — its
-                        // overshoot is never covered by span releases.
-                        stats.window_flushes += 1;
-                        window.release_section(all_nbrs);
-                        window.release_section(all_eids);
-                        window.release_section(edges);
-                        window.need(nbr_rows);
-                        window.need(eid_rows);
-                        window.need(shard_edges);
-                    }
-                }
-
-                sup.write_chunk(e_lo, &chunk)?;
-                *shard_min = chunk
-                    .iter()
-                    .enumerate()
-                    .filter(|&(i, _)| alive.get((e_lo + i) as u32))
-                    .map(|(_, &v)| v)
-                    .min()
-                    .unwrap_or(u32::MAX);
-
-                // Reset the sections, not just the declared spans, so
-                // fault-around overshoot cannot accumulate across visits.
-                window.release(nbr_rows);
-                window.release(eid_rows);
-                window.release(shard_edges);
-                window.release_section(all_nbrs);
-                window.release_section(all_eids);
-                window.release_section(edges);
-            }
-            if !progressed {
-                break;
-            }
-        }
-    }
-    stats.decs_spilled = decs.spilled_records();
-    stats.spill_bytes_written = decs.spilled_bytes_written();
-    stats.spill_bytes_read = decs.spilled_bytes_read();
-
-    // Everything is dead; every chunk slot now holds a truss number.
-    // Release the graph windows before materializing the 4m-byte result.
-    window.release_all();
-    let trussness = sup.read_all()?;
-    Ok((trussness, stats))
+/// One shard's phase-A outcome.
+struct Frontier {
+    shard: usize,
+    /// Killed edges with unretired triangles, each with the count `c`
+    /// its walk stops after.
+    walks: Vec<(u32, u32)>,
+    /// Edges killed, walking or not.
+    killed: u64,
+    /// Minimum support over the shard's survivors.
+    min_sup: u32,
 }
 
-/// The epoch-based parallel peel (see the module docs for the two-phase
-/// dataflow and the exactly-once argument). Equivalent to
-/// [`external_peel`] — trussness is unique, so the two return
-/// byte-identical arrays — but shard visits within an epoch run on
-/// `pool`'s workers concurrently.
+/// Peels every edge, returning the trussness array (edge id → truss
+/// number, every entry ≥ 2). `sup` must hold exact supports on entry;
+/// on exit it holds the same values this function returns. Shard visits
+/// within an epoch run on `pool`'s workers (see the module docs for the
+/// two-phase dataflow, the exactly-once argument and the cost rules);
+/// spill appends overlap the peel via `drain`.
 #[allow(clippy::too_many_arguments)]
-pub fn external_peel_par(
+pub fn external_peel(
     g: &CsrGraph,
     plan: &ShardPlan,
     window: &mut Window,
@@ -432,7 +219,7 @@ pub fn external_peel_par(
             // no windows are needed. Each qualifying shard is visited by
             // exactly one worker; chunks are disjoint.
             let cursor = AtomicUsize::new(0);
-            let phase_a = pool.run(|_w| -> Result<Vec<(usize, Vec<u32>, u32)>> {
+            let phase_a = pool.run(|_w| -> Result<Vec<Frontier>> {
                 let mut out = Vec::new();
                 let mut chunk: Vec<u32> = Vec::new();
                 loop {
@@ -449,56 +236,69 @@ pub fn external_peel_par(
                         set.lock().expect("dec set").drain(s, |r| {
                             if alive.get(r.e) {
                                 let slot = &mut chunk[r.e as usize - e_lo];
+                                // The walk-stop rule trusts exact counts.
+                                debug_assert!(*slot >= r.c, "decrement drift on edge {}", r.e);
                                 *slot = slot.saturating_sub(r.c);
                             }
                         })?;
                     }
-                    let mut killed: Vec<u32> = Vec::new();
-                    let mut mn = u32::MAX;
+                    let mut f = Frontier {
+                        shard: s,
+                        walks: Vec::new(),
+                        killed: 0,
+                        min_sup: u32::MAX,
+                    };
                     for e in e_lo..e_hi {
                         let ei = e as u32;
                         if !alive.get(ei) {
                             continue;
                         }
-                        if chunk[e - e_lo] <= k - 2 {
+                        let c = chunk[e - e_lo];
+                        if c <= k - 2 {
                             // Slot reuse: the dead edge's support becomes
                             // its truss number.
                             alive.clear(ei);
-                            died_epoch.set(ei);
                             chunk[e - e_lo] = k;
-                            killed.push(ei);
+                            f.killed += 1;
+                            if c > 0 {
+                                f.walks.push((ei, c));
+                            }
                         } else {
-                            mn = mn.min(chunk[e - e_lo]);
+                            f.min_sup = f.min_sup.min(c);
                         }
                     }
                     sup.write_chunk(e_lo, &chunk)?;
-                    out.push((s, killed, mn));
+                    out.push(f);
                 }
                 Ok(out)
             });
-            let mut killed_by_shard: Vec<Vec<u32>> = vec![Vec::new(); s_count];
-            let mut total_killed = 0u64;
+            let mut walks_by_shard: Vec<Vec<(u32, u32)>> = vec![Vec::new(); s_count];
             for r in phase_a {
-                for (s, killed, mn) in r? {
-                    total_killed += killed.len() as u64;
-                    min_sup[s] = mn;
-                    killed_by_shard[s] = killed;
+                for f in r? {
+                    alive_left -= f.killed;
+                    min_sup[f.shard] = f.min_sup;
+                    walks_by_shard[f.shard] = f.walks;
                 }
             }
-            alive_left -= total_killed;
-            if total_killed == 0 {
-                // Decrements were consumed without kills; the next
-                // qualifying check exits the level naturally.
+            let bshards: Vec<usize> = (0..s_count)
+                .filter(|&s| !walks_by_shard[s].is_empty())
+                .collect();
+            if alive_left == 0 || bshards.is_empty() {
+                // Nothing to walk — or the final epoch, which killed every
+                // live edge, so no decrement could reach a reader.
                 continue;
             }
+            for &s in &bshards {
+                stats.walks += walks_by_shard[s].len() as u64;
+                for &(e, _) in &walks_by_shard[s] {
+                    died_epoch.set(e);
+                }
+            }
 
-            // Phase B: every edge killed this epoch enumerates its
-            // triangles against the *frozen* bitsets and the minimum
-            // dying edge of each triangle emits decrements for the
-            // still-alive partners (see module docs).
-            let bshards: Vec<usize> = (0..s_count)
-                .filter(|&s| !killed_by_shard[s].is_empty())
-                .collect();
+            // Phase B: every listed edge enumerates its triangles against
+            // the *frozen* bitsets and the minimum dying edge of each
+            // triangle emits decrements for the still-alive partners (see
+            // module docs).
             let cursor = AtomicUsize::new(0);
             let phase_b = pool.run(|w| -> Result<u64> {
                 let mut decs = dec_sets[w].lock().expect("dec set");
@@ -523,7 +323,7 @@ pub fn external_peel_par(
                         (std::mem::size_of_val(nbr_rows) * 2 + std::mem::size_of_val(shard_edges))
                             as u64,
                     );
-                    for &e in &killed_by_shard[s] {
+                    for &(e, c) in &walks_by_shard[s] {
                         let edge = edges[e as usize];
                         let (na, ia) = (g.neighbors(edge.u), g.neighbor_edge_ids(edge.u));
                         // edge.u's row is in-shard (windowed); edge.v's is
@@ -540,47 +340,9 @@ pub fn external_peel_par(
                                 win.note_span(ib);
                                 (nb, ib)
                             };
-
-                        let (mut i, mut j) = (0usize, 0usize);
-                        while i < na.len() && j < nb.len() {
-                            match na[i].cmp(&nb[j]) {
-                                std::cmp::Ordering::Less => i += 1,
-                                std::cmp::Ordering::Greater => j += 1,
-                                std::cmp::Ordering::Equal => {
-                                    let (e_aw, e_bw) = (ia[i], ib[j]);
-                                    i += 1;
-                                    j += 1;
-                                    let aw_alive = alive.get(e_aw);
-                                    let aw_dying = died_epoch.get(e_aw);
-                                    let bw_alive = alive.get(e_bw);
-                                    let bw_dying = died_epoch.get(e_bw);
-                                    // A partner dead before this epoch
-                                    // already retired the triangle.
-                                    if (!aw_alive && !aw_dying) || (!bw_alive && !bw_dying) {
-                                        continue;
-                                    }
-                                    // The least dying edge of the triangle
-                                    // owns its retirement: every dying
-                                    // edge sees the same frozen D, so the
-                                    // decrements are emitted exactly once.
-                                    let mut owner = e;
-                                    if aw_dying {
-                                        owner = owner.min(e_aw);
-                                    }
-                                    if bw_dying {
-                                        owner = owner.min(e_bw);
-                                    }
-                                    if owner != e {
-                                        continue;
-                                    }
-                                    for (f, f_alive) in [(e_aw, aw_alive), (e_bw, bw_alive)] {
-                                        if f_alive {
-                                            decs.push(plan.edge_shard(f), IncRec { e: f, c: 1 })?;
-                                        }
-                                    }
-                                }
-                            }
-                        }
+                        retire_triangles(e, c, (na, ia), (nb, ib), &alive, &died_epoch, |f| {
+                            decs.push(plan.edge_shard(f), IncRec { e: f, c: 1 })
+                        })?;
 
                         if win.over_budget() {
                             // Stray foreign rows have scattered fault-
@@ -609,9 +371,9 @@ pub fn external_peel_par(
                 stats.window_flushes += r?;
             }
 
-            // Reset the epoch markers (O(killed), not O(m)).
+            // Reset the epoch markers (O(walks), not O(m)).
             for &s in &bshards {
-                for &e in &killed_by_shard[s] {
+                for &(e, _) in &walks_by_shard[s] {
                     died_epoch.clear(e);
                 }
             }
@@ -634,4 +396,66 @@ pub fn external_peel_par(
     window.release_all();
     let trussness = sup.read_all()?;
     Ok((trussness, stats))
+}
+
+/// Walks the triangles of `e`, a phase-B edge with `c` unretired
+/// triangles, by merge-intersecting its endpoints' rows `a` and `b`
+/// (neighbors, edge ids), and calls `dec` once for every live partner of
+/// each unretired triangle `e` owns. Stops after the `c`-th unretired
+/// triangle, whichever dying edge owns it.
+fn retire_triangles(
+    e: u32,
+    c: u32,
+    (na, ia): (&[u32], &[u32]),
+    (nb, ib): (&[u32], &[u32]),
+    alive: &AtomicBitset,
+    died_epoch: &AtomicBitset,
+    mut dec: impl FnMut(u32) -> Result<()>,
+) -> Result<()> {
+    let mut left = c;
+    let (mut i, mut j) = (0usize, 0usize);
+    while left > 0 && i < na.len() && j < nb.len() {
+        match na[i].cmp(&nb[j]) {
+            std::cmp::Ordering::Less => i += 1,
+            std::cmp::Ordering::Greater => j += 1,
+            std::cmp::Ordering::Equal => {
+                let (e_aw, e_bw) = (ia[i], ib[j]);
+                i += 1;
+                j += 1;
+                let aw_alive = alive.get(e_aw);
+                let aw_dying = died_epoch.get(e_aw);
+                let bw_alive = alive.get(e_bw);
+                let bw_dying = died_epoch.get(e_bw);
+                // A partner dead before this epoch already retired the
+                // triangle.
+                if (!aw_alive && !aw_dying) || (!bw_alive && !bw_dying) {
+                    continue;
+                }
+                left -= 1;
+                // The least dying edge of the triangle owns its
+                // retirement: every dying edge sees the same frozen D, so
+                // the decrements are emitted exactly once.
+                let mut owner = e;
+                if aw_dying {
+                    owner = owner.min(e_aw);
+                }
+                if bw_dying {
+                    owner = owner.min(e_bw);
+                }
+                if owner != e {
+                    continue;
+                }
+                for (f, f_alive) in [(e_aw, aw_alive), (e_bw, bw_alive)] {
+                    if f_alive {
+                        dec(f)?;
+                    }
+                }
+            }
+        }
+    }
+    debug_assert_eq!(
+        left, 0,
+        "edge {e}: fewer unretired triangles than its support"
+    );
+    Ok(())
 }
