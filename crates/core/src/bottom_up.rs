@@ -18,18 +18,20 @@
 //! the current `H`. Sweeps repeat until none peels an edge — the same
 //! fixpoint Procedure 9 reaches, without the soundness hazard of computing
 //! supports in a partially-dismantled graph.
+//!
+//! Both are the peel TD-topdown's Procedures 8 and 10 use too (`sweep`),
+//! with two parameters: every triangle of `H` counts, and the bar is
+//! `k − 1` (an internal edge is peeled at `sup ≤ k − 2`).
 
-use crate::decompose::improved::merge_common_neighbors;
 use crate::decompose::TrussDecomposition;
 use crate::lower_bound::{lower_bounding, LowerBoundOutput};
+use crate::sweep;
 use truss_graph::hash::FxHashSet;
-use truss_graph::subgraph::from_parent_edges;
-use truss_graph::{CsrGraph, Edge, VertexId};
-use truss_storage::partition::{plan_partition, PartitionStrategy};
+use truss_graph::{CsrGraph, Edge};
+use truss_storage::partition::PartitionStrategy;
 use truss_storage::record::EdgeRec;
 use truss_storage::{EdgeListFile, IoConfig, IoStats, IoTracker, Result, ScratchDir, StorageError};
 use truss_triangle::external::{edge_list_from_graph_windowed, PassConfig};
-use truss_triangle::list::for_each_triangle;
 
 /// Configuration of TD-bottomup.
 #[derive(Debug, Clone, Copy)]
@@ -149,6 +151,8 @@ pub fn bottom_up_decompose_in(
     phi2.delete()?;
 
     let edge_budget = (cfg.io.memory_budget / cfg.bytes_per_edge).max(4) as u64;
+    // Half budget so a pair of parts fits in memory.
+    let part_edges = (cfg.io.memory_budget / cfg.bytes_per_edge).max(8) / 2;
     let n = g.num_vertices();
     let mut k = 3u32;
 
@@ -179,6 +183,10 @@ pub fn bottom_up_decompose_in(
         })?;
         report.candidate_edges_total += candidate_edges;
 
+        // Procedures 5 and 9: peel internal edges with sup ≤ k − 2 (every
+        // triangle of H counts); the peeled edges are Φ_k.
+        let peel_low =
+            |recs: &[EdgeRec], internal: &[bool]| sweep::peel(recs, |_| true, internal, k - 1);
         let phi_k: Vec<Edge> = if candidate_edges <= edge_budget {
             // Procedure 5 (H fits in memory).
             let mut cands: Vec<EdgeRec> = Vec::with_capacity(candidate_edges as usize);
@@ -187,11 +195,40 @@ pub fn bottom_up_decompose_in(
                     cands.push(rec);
                 }
             })?;
-            peel_candidate_in_memory(&cands, |v| in_uk[v as usize], k)
+            let internal: Vec<bool> = cands
+                .iter()
+                .map(|r| in_uk[r.edge.u as usize] && in_uk[r.edge.v as usize])
+                .collect();
+            let alive = peel_low(&cands, &internal);
+            cands
+                .iter()
+                .zip(alive)
+                .filter(|(_, a)| !a)
+                .map(|(r, _)| r.edge)
+                .collect()
         } else {
-            // Procedure 9 (H exceeds memory): pair-sweep.
+            // Procedure 9 (H exceeds memory): pair-sweep, a new random
+            // partition per sweep.
             report.oversized_rounds += 1;
-            peel_candidate_pair_sweep(&g_new, &in_uk, n, k, cfg, scratch, &tracker)?
+            let strategy = |sweep: usize| match cfg.strategy {
+                PartitionStrategy::Sequential => PartitionStrategy::Sequential,
+                PartitionStrategy::Random { seed } | PartitionStrategy::Seeded { seed } => {
+                    PartitionStrategy::Random {
+                        seed: seed.wrapping_add(sweep as u64),
+                    }
+                }
+            };
+            let peeled = sweep::pair_sweep(
+                &g_new,
+                &in_uk,
+                part_edges,
+                cfg.max_sweeps,
+                strategy,
+                peel_low,
+                scratch,
+                &tracker,
+            )?;
+            peeled.into_iter().map(Edge::from_key).collect()
         };
 
         if !phi_k.is_empty() {
@@ -225,241 +262,6 @@ pub fn bottom_up_decompose_in(
     Ok((TrussDecomposition::from_trussness(trussness), report))
 }
 
-/// Procedure 5: in-memory peeling of the candidate subgraph.
-///
-/// `cands` must be sorted by edge key (scan order of `G_new`). Only internal
-/// edges (both endpoints in `U_k`) are peelable; supports are counted within
-/// `H`, which is exact for internal edges because `NS(U_k)` contains every
-/// edge incident to them.
-fn peel_candidate_in_memory(
-    cands: &[EdgeRec],
-    is_internal_vertex: impl Fn(VertexId) -> bool,
-    k: u32,
-) -> Vec<Edge> {
-    let sub = from_parent_edges(cands.iter().map(|r| r.edge));
-    let m = sub.graph.num_edges();
-    debug_assert_eq!(m, cands.len());
-
-    let internal_v: Vec<bool> = sub
-        .to_parent
-        .iter()
-        .map(|&p| is_internal_vertex(p))
-        .collect();
-    let internal_e: Vec<bool> = (0..m as u32)
-        .map(|i| {
-            let e = sub.graph.edge(i);
-            internal_v[e.u as usize] && internal_v[e.v as usize]
-        })
-        .collect();
-
-    let mut sup = vec![0u32; m];
-    for_each_triangle(&sub.graph, |_, _, _, a, b, c| {
-        sup[a as usize] += 1;
-        sup[b as usize] += 1;
-        sup[c as usize] += 1;
-    });
-
-    let mut present = vec![true; m];
-    let mut queued = vec![false; m];
-    let threshold = k - 2;
-    let mut stack: Vec<u32> = (0..m as u32)
-        .filter(|&e| internal_e[e as usize] && sup[e as usize] <= threshold)
-        .collect();
-    for &e in &stack {
-        queued[e as usize] = true;
-    }
-
-    let mut phi_k = Vec::new();
-    while let Some(e) = stack.pop() {
-        present[e as usize] = false;
-        phi_k.push(sub.parent_edge(sub.graph.edge(e)));
-        let edge = sub.graph.edge(e);
-        merge_common_neighbors(&sub.graph, edge.u, edge.v, |_, a, b| {
-            if present[a as usize] && present[b as usize] {
-                for other in [a, b] {
-                    sup[other as usize] -= 1;
-                    if internal_e[other as usize]
-                        && !queued[other as usize]
-                        && sup[other as usize] <= threshold
-                    {
-                        queued[other as usize] = true;
-                        stack.push(other);
-                    }
-                }
-            }
-        });
-    }
-    phi_k.sort_unstable();
-    phi_k
-}
-
-/// Procedure 9: peeling when `H` does not fit in memory.
-///
-/// `H` is spilled to its own file, then each sweep partitions `V(H)` at
-/// half budget, distributes `H` into per-part files once, and materializes
-/// every *pair* of parts, so each candidate edge is examined (as an internal
-/// edge, with supports exact w.r.t. the current `H`) exactly once per sweep.
-/// Sweeps repeat until a full sweep peels nothing.
-fn peel_candidate_pair_sweep(
-    g_new: &EdgeListFile,
-    in_uk: &[bool],
-    n: usize,
-    k: u32,
-    cfg: &BottomUpConfig,
-    scratch: &ScratchDir,
-    tracker: &IoTracker,
-) -> Result<Vec<Edge>> {
-    let mut peeled: FxHashSet<u64> = FxHashSet::default();
-    let mut phi_k: Vec<Edge> = Vec::new();
-    let threshold = k - 2;
-    // Half budget so a pair of parts fits in memory.
-    let budget_half_edges = (cfg.io.memory_budget / cfg.bytes_per_edge).max(8) / 2;
-
-    let in_h = |e: &Edge| in_uk[e.u as usize] || in_uk[e.v as usize];
-
-    // Extract H once; all sweeps scan this smaller file.
-    let mut h_writer = EdgeListFile::create(scratch.file("proc9-h"), tracker.clone())?;
-    let mut err: Option<StorageError> = None;
-    g_new.scan(|rec| {
-        if err.is_none() && in_h(&rec.edge) {
-            if let Err(e) = h_writer.push(rec) {
-                err = Some(e);
-            }
-        }
-    })?;
-    if let Some(e) = err {
-        return Err(e);
-    }
-    let h = h_writer.finish()?;
-
-    for sweep in 0..cfg.max_sweeps {
-        // Degrees within the surviving H.
-        let mut degrees = vec![0u32; n];
-        h.scan(|rec| {
-            if !peeled.contains(&rec.edge.key()) {
-                degrees[rec.edge.u as usize] += 1;
-                degrees[rec.edge.v as usize] += 1;
-            }
-        })?;
-        let strategy = match cfg.strategy {
-            PartitionStrategy::Sequential => PartitionStrategy::Sequential,
-            PartitionStrategy::Random { seed } | PartitionStrategy::Seeded { seed } => {
-                PartitionStrategy::Random {
-                    seed: seed.wrapping_add(sweep as u64),
-                }
-            }
-        };
-        let partition = plan_partition(strategy, &degrees, budget_half_edges, |f| {
-            h.scan(|rec| {
-                if !peeled.contains(&rec.edge.key()) {
-                    f(rec.edge)
-                }
-            })
-        })?;
-        drop(degrees);
-        let files = crate::sweep::distribute_parts(&h, &peeled, &partition, scratch, tracker)?;
-        let p = partition.num_parts() as u32;
-
-        let mut sweep_peels = 0usize;
-        for i in 0..p {
-            for j in i..p {
-                let bucket_recs = crate::sweep::load_pair(&files, i, j, &peeled)?;
-                if bucket_recs.is_empty() {
-                    continue;
-                }
-                let bucket: Vec<Edge> = bucket_recs.iter().map(|r| r.edge).collect();
-                // An edge is examined in the unique pair holding both its
-                // endpoints' parts.
-                let newly = peel_pair_bucket(&bucket, in_uk, &partition, (i, j), threshold);
-                for e in newly {
-                    peeled.insert(e.key());
-                    phi_k.push(e);
-                    sweep_peels += 1;
-                }
-            }
-        }
-        crate::sweep::delete_parts(files);
-        if sweep_peels == 0 {
-            h.delete()?;
-            phi_k.sort_unstable();
-            return Ok(phi_k);
-        }
-    }
-    Err(StorageError::BudgetTooSmall(format!(
-        "pair-sweep did not reach a fixpoint within {} sweeps",
-        cfg.max_sweeps
-    )))
-}
-
-/// Peels one pair bucket. Edges peelable here: internal to `U_k` *and* with
-/// both endpoint parts in `{i, j}` (so all their incident H-edges are in the
-/// bucket and supports are exact).
-fn peel_pair_bucket(
-    bucket: &[Edge],
-    in_uk: &[bool],
-    partition: &truss_storage::Partition,
-    (i, j): (u32, u32),
-    threshold: u32,
-) -> Vec<Edge> {
-    let sub = from_parent_edges(bucket.iter().copied());
-    let m = sub.graph.num_edges();
-    let owned: Vec<bool> = (0..m as u32)
-        .map(|e| {
-            let local = sub.graph.edge(e);
-            let (pu, pv) = (
-                sub.to_parent[local.u as usize],
-                sub.to_parent[local.v as usize],
-            );
-            let (cu, cv) = (partition.part_of(pu), partition.part_of(pv));
-            let pair_owned = (cu == i || cu == j) && (cv == i || cv == j);
-            // Examined once per sweep: only in the pair (min, max) of its
-            // own two parts.
-            let canonical = {
-                let (lo, hi) = if cu <= cv { (cu, cv) } else { (cv, cu) };
-                lo == i && hi == j
-            };
-            pair_owned && canonical && in_uk[pu as usize] && in_uk[pv as usize]
-        })
-        .collect();
-
-    let mut sup = vec![0u32; m];
-    for_each_triangle(&sub.graph, |_, _, _, a, b, c| {
-        sup[a as usize] += 1;
-        sup[b as usize] += 1;
-        sup[c as usize] += 1;
-    });
-
-    let mut present = vec![true; m];
-    let mut queued = vec![false; m];
-    let mut stack: Vec<u32> = (0..m as u32)
-        .filter(|&e| owned[e as usize] && sup[e as usize] <= threshold)
-        .collect();
-    for &e in &stack {
-        queued[e as usize] = true;
-    }
-    let mut out = Vec::new();
-    while let Some(e) = stack.pop() {
-        present[e as usize] = false;
-        out.push(sub.parent_edge(sub.graph.edge(e)));
-        let edge = sub.graph.edge(e);
-        merge_common_neighbors(&sub.graph, edge.u, edge.v, |_, a, b| {
-            if present[a as usize] && present[b as usize] {
-                for other in [a, b] {
-                    sup[other as usize] -= 1;
-                    if owned[other as usize]
-                        && !queued[other as usize]
-                        && sup[other as usize] <= threshold
-                    {
-                        queued[other as usize] = true;
-                        stack.push(other);
-                    }
-                }
-            }
-        });
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -467,6 +269,7 @@ mod tests {
     use truss_graph::generators::classic::complete;
     use truss_graph::generators::erdos_renyi::gnm;
     use truss_graph::generators::figures::{figure2_classes, figure2_graph};
+    use truss_graph::generators::planted::planted_clique;
 
     fn run(g: &CsrGraph, budget: usize) -> (TrussDecomposition, BottomUpReport) {
         let cfg = BottomUpConfig::new(IoConfig {
@@ -498,13 +301,23 @@ mod tests {
 
     #[test]
     fn matches_with_tiny_budget() {
-        for seed in [1u64, 9] {
-            let g = gnm(50, 320, seed);
-            let exact = truss_decompose_naive(&g);
+        let mut graphs: Vec<(String, CsrGraph)> = [1u64, 9, 17, 23, 42]
+            .into_iter()
+            .map(|seed| (format!("gnm seed {seed}"), gnm(50, 320, seed)))
+            .collect();
+        graphs.push((
+            "planted K_12".into(),
+            planted_clique(&gnm(150, 220, 3), 12, 7),
+        ));
+        for (name, g) in &graphs {
+            let exact = truss_decompose_naive(g);
             // ~64 edges of in-memory candidate budget → Procedure 9 rounds.
-            let (d, report) = run(&g, 64 * 64);
-            assert_eq!(d.trussness(), exact.trussness(), "seed {seed}");
-            assert!(report.oversized_rounds > 0, "expected Procedure 9 rounds");
+            let (d, report) = run(g, 64 * 64);
+            assert_eq!(d.trussness(), exact.trussness(), "{name}");
+            assert!(
+                report.oversized_rounds > 0,
+                "{name}: expected Procedure 9 rounds"
+            );
         }
     }
 

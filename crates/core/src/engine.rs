@@ -300,19 +300,6 @@ pub struct EngineReport {
     pub mr_jobs: Option<u64>,
     /// Records through the MapReduce shuffle (TD-MR only).
     pub mr_shuffled_records: Option<u64>,
-    /// Bytes appended to the durable delta log (WAL-backed ingestion runs
-    /// only — the `repro_ingest` harness; `None` for every decomposition
-    /// engine, which has no log).
-    pub wal_bytes_appended: Option<u64>,
-    /// `fsync` calls issued by the delta-log writer (WAL runs only).
-    pub wal_fsyncs: Option<u64>,
-    /// Group-commit batches: update batches made durable by one shared
-    /// fsync (WAL runs only).
-    pub group_commit_batches: Option<u64>,
-    /// Log records replayed over the snapshot at startup (WAL runs only).
-    pub recovery_records_replayed: Option<u64>,
-    /// Torn-tail bytes truncated from the log at startup (WAL runs only).
-    pub recovery_bytes_truncated: Option<u64>,
 }
 
 impl EngineReport {
@@ -359,11 +346,7 @@ impl EngineReport {
                 "\"peel_levels\":{},\"peel_sub_iterations\":{},",
                 "\"peel_compactions\":{},",
                 "\"lower_bound_iterations\":{},\"k_first\":{},",
-                "\"mr_jobs\":{},\"mr_shuffled_records\":{},",
-                "\"wal_bytes_appended\":{},\"wal_fsyncs\":{},",
-                "\"group_commit_batches\":{},",
-                "\"recovery_records_replayed\":{},",
-                "\"recovery_bytes_truncated\":{}}}"
+                "\"mr_jobs\":{},\"mr_shuffled_records\":{}}}"
             ),
             self.algorithm,
             self.wall_time.as_secs_f64(),
@@ -396,11 +379,6 @@ impl EngineReport {
             opt(self.k_first.map(u64::from)),
             opt(self.mr_jobs),
             opt(self.mr_shuffled_records),
-            opt(self.wal_bytes_appended),
-            opt(self.wal_fsyncs),
-            opt(self.group_commit_batches),
-            opt(self.recovery_records_replayed),
-            opt(self.recovery_bytes_truncated),
         )
     }
 }

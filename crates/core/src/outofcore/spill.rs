@@ -11,18 +11,17 @@
 //! single `scan` of its file plus the live buffer: `O(scan(R))` I/O for
 //! `R` spilled records, with zero merge passes.
 //!
-//! Spill writes can optionally be *overlapped* with computation: a
-//! [`SpillDrain`] is a single background thread that owns append-mode
-//! file handles and consumes encoded runs from a bounded channel, so a
-//! worker that fills a buffer hands off the bytes and keeps counting
-//! triangles while the previous run is still hitting disk. The channel
-//! bound is the double-buffer: at most a few runs are in flight, so
-//! spill memory stays within the budget share the caller sized
-//! `buf_cap` from. Draining a bucket first *retires* its path on the
-//! drain (a rendezvous that flushes queued appends and closes the
-//! handle — required before the file is scanned or deleted, otherwise a
-//! reused bucket could append to an unlinked inode) and then scans the
-//! file exactly as in the synchronous mode.
+//! Spill writes are *overlapped* with computation: a [`SpillDrain`] is a
+//! single background thread that owns append-mode file handles and
+//! consumes encoded runs from a bounded channel, so a worker that fills a
+//! buffer hands off the bytes and keeps counting triangles while the
+//! previous run is still hitting disk. The channel bound is the
+//! double-buffer: at most a few runs are in flight, so spill memory stays
+//! within the budget share the caller sized `buf_cap` from. Draining a
+//! bucket first *retires* its path on the drain (a rendezvous that
+//! flushes queued appends and closes the handle — required before the
+//! file is scanned or deleted, otherwise a reused bucket could append to
+//! an unlinked inode) and then scans the file.
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -34,7 +33,7 @@ use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-use truss_storage::record::{FixedRecord, RecordFile, RecordWriter};
+use truss_storage::record::{FixedRecord, RecordFile};
 use truss_storage::{IoTracker, Result, ScratchDir, StorageError};
 
 /// A fixed-width record that knows how to merge with an equal-keyed
@@ -343,23 +342,21 @@ fn drain_loop(rx: Receiver<Job>, shared: Arc<DrainShared>, tracker: IoTracker) {
 /// bucket. Total heap is bounded by `shards × buf_cap × SIZE` — the
 /// caller picks `buf_cap` from its budget share.
 ///
-/// With [`SpillBuckets::with_drain`] the append goes through a shared
-/// background [`SpillDrain`] instead of a foreground `RecordWriter`:
-/// the buffer is encoded here (cheap) and the disk write happens on the
-/// drain thread while this worker keeps computing.
+/// Appends go through a shared background [`SpillDrain`]: the buffer is
+/// encoded here (cheap) and the disk write happens on the drain thread
+/// while this worker keeps computing.
 pub struct SpillBuckets<T: Spillable> {
     paths: Vec<PathBuf>,
     bufs: Vec<Vec<T>>,
-    writers: Vec<Option<RecordWriter<T>>>,
-    /// Background writer; `None` = synchronous foreground spills.
-    drain: Option<Arc<SpillDrain>>,
-    /// Background mode: does `paths[s]` have appended records?
+    /// Background writer shared by every bucket set of a run.
+    drain: Arc<SpillDrain>,
+    /// Does `paths[s]` have appended records?
     has_run: Vec<bool>,
     buf_cap: usize,
     tracker: IoTracker,
     /// Records ever spilled to disk (not counting buffered ones).
     spilled: u64,
-    /// Bytes of spill runs handed to disk (either mode).
+    /// Bytes of spill runs handed to disk.
     bytes_written: u64,
     /// Bytes of spill runs scanned back during drains.
     bytes_read: u64,
@@ -367,40 +364,9 @@ pub struct SpillBuckets<T: Spillable> {
 
 impl<T: Spillable> SpillBuckets<T> {
     /// `shards` empty buckets named `prefix-<s>` under `scratch`,
-    /// buffering at most `buf_cap` records each before spilling.
-    pub fn new(scratch: &ScratchDir, prefix: &str, shards: usize, buf_cap: usize) -> Self {
-        SpillBuckets {
-            paths: (0..shards)
-                .map(|s| scratch.file(&format!("{prefix}-{s}")))
-                .collect(),
-            bufs: (0..shards).map(|_| Vec::new()).collect(),
-            writers: (0..shards).map(|_| None).collect(),
-            drain: None,
-            has_run: vec![false; shards],
-            buf_cap: buf_cap.max(16),
-            tracker: IoTracker::new(),
-            spilled: 0,
-            bytes_written: 0,
-            bytes_read: 0,
-        }
-    }
-
-    /// As [`SpillBuckets::new`], recording spill I/O on `tracker`.
-    pub fn with_tracker(
-        scratch: &ScratchDir,
-        prefix: &str,
-        shards: usize,
-        buf_cap: usize,
-        tracker: IoTracker,
-    ) -> Self {
-        let mut b = SpillBuckets::new(scratch, prefix, shards, buf_cap);
-        b.tracker = tracker;
-        b
-    }
-
-    /// As [`SpillBuckets::with_tracker`], but full buffers are encoded
-    /// and handed to the shared background `drain` instead of being
-    /// written inline.
+    /// buffering at most `buf_cap` records each; full buffers are encoded
+    /// and handed to the shared background `drain`, and spill reads are
+    /// recorded on `tracker`.
     pub fn with_drain(
         scratch: &ScratchDir,
         prefix: &str,
@@ -409,9 +375,19 @@ impl<T: Spillable> SpillBuckets<T> {
         tracker: IoTracker,
         drain: Arc<SpillDrain>,
     ) -> Self {
-        let mut b = SpillBuckets::with_tracker(scratch, prefix, shards, buf_cap, tracker);
-        b.drain = Some(drain);
-        b
+        SpillBuckets {
+            paths: (0..shards)
+                .map(|s| scratch.file(&format!("{prefix}-{s}")))
+                .collect(),
+            bufs: (0..shards).map(|_| Vec::new()).collect(),
+            drain,
+            has_run: vec![false; shards],
+            buf_cap: buf_cap.max(16),
+            tracker,
+            spilled: 0,
+            bytes_written: 0,
+            bytes_read: 0,
+        }
     }
 
     /// Number of buckets.
@@ -445,12 +421,7 @@ impl<T: Spillable> SpillBuckets<T> {
 
     /// True when bucket `s` holds any records (buffered or spilled).
     pub fn pending(&self, s: usize) -> bool {
-        !self.bufs[s].is_empty()
-            || self.has_run[s]
-            || self.writers[s]
-                .as_ref()
-                .map(|w| !w.is_empty())
-                .unwrap_or(false)
+        !self.bufs[s].is_empty() || self.has_run[s]
     }
 
     /// Replays and empties bucket `s`: spilled records first (one scan of
@@ -459,20 +430,12 @@ impl<T: Spillable> SpillBuckets<T> {
     /// out-of-core record type is (increments commute, probes are
     /// independent).
     ///
-    /// In background mode the bucket's path is retired on the drain
-    /// first — the rendezvous guarantees every queued append landed
+    /// The bucket's path is retired on the drain first — the rendezvous guarantees every queued append landed
     /// before the scan, and that a later reuse of this bucket opens a
     /// fresh file rather than appending to the unlinked inode.
     pub fn drain(&mut self, s: usize, mut f: impl FnMut(T)) -> Result<()> {
-        if let Some(w) = self.writers[s].take() {
-            let file: RecordFile<T> = w.finish()?;
-            self.bytes_read += file.bytes();
-            file.scan(&mut f)?;
-            file.delete()?;
-        }
         if self.has_run[s] {
-            let drain = self.drain.as_ref().expect("has_run only in drain mode");
-            drain.retire(&self.paths[s])?;
+            self.drain.retire(&self.paths[s])?;
             let file: RecordFile<T> =
                 RecordFile::open(self.paths[s].clone(), self.tracker.clone())?;
             self.bytes_read += file.bytes();
@@ -490,29 +453,14 @@ impl<T: Spillable> SpillBuckets<T> {
 
     fn flush(&mut self, s: usize) -> Result<()> {
         merge_sorted(&mut self.bufs[s]);
-        if let Some(drain) = self.drain.clone() {
-            let mut bytes = vec![0u8; self.bufs[s].len() * T::SIZE];
-            for (i, rec) in self.bufs[s].drain(..).enumerate() {
-                rec.encode(&mut bytes[i * T::SIZE..(i + 1) * T::SIZE]);
-                self.spilled += 1;
-            }
-            self.bytes_written += bytes.len() as u64;
-            drain.append(&self.paths[s], bytes)?;
-            self.has_run[s] = true;
-            return Ok(());
-        }
-        if self.writers[s].is_none() {
-            self.writers[s] = Some(RecordFile::create(
-                self.paths[s].clone(),
-                self.tracker.clone(),
-            )?);
-        }
-        let w = self.writers[s].as_mut().expect("just created");
-        for rec in self.bufs[s].drain(..) {
-            w.push(rec)?;
+        let mut bytes = vec![0u8; self.bufs[s].len() * T::SIZE];
+        for (i, rec) in self.bufs[s].drain(..).enumerate() {
+            rec.encode(&mut bytes[i * T::SIZE..(i + 1) * T::SIZE]);
             self.spilled += 1;
-            self.bytes_written += T::SIZE as u64;
         }
+        self.bytes_written += bytes.len() as u64;
+        self.drain.append(&self.paths[s], bytes)?;
+        self.has_run[s] = true;
         Ok(())
     }
 }
@@ -578,24 +526,6 @@ mod tests {
     }
 
     #[test]
-    fn buckets_spill_and_replay_everything() {
-        let scratch = ScratchDir::new().unwrap();
-        let mut b: SpillBuckets<IncRec> = SpillBuckets::new(&scratch, "inc", 3, 16);
-        // 1000 increments of edge e into bucket e % 3: forces spills.
-        for e in 0..1000u32 {
-            b.push((e % 3) as usize, IncRec { e, c: 1 }).unwrap();
-        }
-        assert!(b.spilled_records() > 0);
-        let mut sums = vec![0u64; 1000];
-        for s in 0..3 {
-            assert!(b.pending(s));
-            b.drain(s, |r| sums[r.e as usize] += r.c as u64).unwrap();
-            assert!(!b.pending(s));
-        }
-        assert!(sums.iter().all(|&c| c == 1));
-    }
-
-    #[test]
     fn background_drain_spills_and_replays_everything() {
         let scratch = ScratchDir::new().unwrap();
         let tracker = IoTracker::new();
@@ -647,19 +577,5 @@ mod tests {
         drain.quiesce();
         let err = drain.append(&scratch.file("late"), vec![0u8; 8]);
         assert!(err.is_err());
-    }
-
-    #[test]
-    fn drained_bucket_is_reusable() {
-        let scratch = ScratchDir::new().unwrap();
-        let mut b: SpillBuckets<IncRec> = SpillBuckets::new(&scratch, "cyc", 1, 16);
-        for round in 0..3u32 {
-            for e in 0..40u32 {
-                b.push(0, IncRec { e, c: round + 1 }).unwrap();
-            }
-            let mut total = 0u64;
-            b.drain(0, |r| total += r.c as u64).unwrap();
-            assert_eq!(total, 40 * (round as u64 + 1));
-        }
     }
 }

@@ -1,25 +1,204 @@
-//! Shared machinery for the pair-sweep realizations of Procedures 9 & 10.
+//! The peel shared by TD-bottomup and TD-topdown: Procedures 5, 8, 9 and
+//! 10 are one cascade peel of a candidate `H = NS(U_k)` with two
+//! parameters.
 //!
-//! When a candidate subgraph `H` exceeds the memory budget, its vertex set
-//! is partitioned at half budget and every *pair* of parts is materialized
-//! in turn: the pair bucket `NS(P_i ∪ P_j)` contains every edge incident to
-//! either part, so an edge whose endpoints lie in parts `i` and `j` sees its
-//! complete neighborhood there — supports are exact — and is examined in
-//! exactly one pair per sweep.
+//! - **Which triangles count.** Bottom-up (Procedures 5 & 9) counts every
+//!   triangle of `H`; top-down (Procedures 8 & 10) counts a triangle only
+//!   when all three of its edges are *k-viable* (`class > 0 || ψ ≥ k`).
+//! - **The bar.** An edge is peeled once its support drops below the bar:
+//!   `k − 1` for bottom-up (peel `sup ≤ k − 2`), `k − 2` for top-down
+//!   (peel `sup < k − 2`).
+//!
+//! Each engine also says which edges may be peeled (bottom-up: internal
+//! edges; top-down: internal, unclassified edges with `ψ ≥ k`) and reads
+//! its class off the result: the peeled edges are bottom-up's `Φ_k`, the
+//! peelable survivors top-down's. Only internal edges are ever peeled:
+//! `NS(U_k)` holds every edge incident to them, so their supports within
+//! `H` are exact.
+//!
+//! [`peel`] runs the cascade on an edge set held in memory — all of `H`
+//! when it fits the budget (Procedures 5 & 8), one pair bucket otherwise.
+//! [`pair_sweep`] is the out-of-memory driver (Procedures 9 & 10): the
+//! vertex set of `H` is partitioned at half budget and every *pair* of
+//! parts is materialized in turn. The pair bucket `NS(P_i ∪ P_j)` contains
+//! every edge incident to either part, so an edge whose endpoints lie in
+//! parts `i` and `j` sees its complete neighborhood there — supports are
+//! exact — and is examined in exactly one pair per sweep. Sweeps repeat
+//! until one peels nothing: the fixpoint Procedures 9 & 10 reach, without
+//! computing supports in a partially-dismantled graph.
 //!
 //! To avoid re-scanning `H` per pair (`O(p²)` scans), each sweep distributes
 //! `H` once into `p` part files (`part file x` = edges incident to part `x`,
 //! i.e. the edge set of `NS(P_x)`; every edge lands in at most two files).
 //! A pair bucket is then the key-merged union of two part files.
 
+use crate::decompose::improved::merge_common_neighbors;
 use truss_graph::hash::FxHashSet;
+use truss_graph::subgraph::from_parent_edges;
+use truss_graph::Edge;
+use truss_storage::partition::{plan_partition, PartitionStrategy};
 use truss_storage::record::EdgeRec;
 use truss_storage::{EdgeListFile, IoTracker, Partition, Result, ScratchDir, StorageError};
+use truss_triangle::list::for_each_triangle;
+
+/// The cascade peel of Procedures 5, 8, 9 and 10 on an edge set held in
+/// memory.
+///
+/// `recs` must be sorted by edge and duplicate-free (the scan order of
+/// `G_new` and of a pair bucket), so record `i` is local edge `i`. A
+/// triangle counts toward the supports of its edges when `counts` accepts
+/// all three; every peelable edge must itself count. An edge marked in
+/// `peelable` is peeled once its support drops below `bar`, which removes
+/// its counted triangles from the supports of its partners. Returns, per
+/// record, whether the edge survived (edges that are not peelable always
+/// do).
+pub(crate) fn peel(
+    recs: &[EdgeRec],
+    counts: impl Fn(usize) -> bool,
+    peelable: &[bool],
+    bar: u32,
+) -> Vec<bool> {
+    let sub = from_parent_edges(recs.iter().map(|r| r.edge));
+    let g = &sub.graph;
+    let m = g.num_edges();
+    debug_assert_eq!(m, recs.len());
+    debug_assert!((0..m).all(|e| !peelable[e] || counts(e)));
+
+    let mut sup = vec![0u32; m];
+    for_each_triangle(g, |_, _, _, a, b, c| {
+        let (a, b, c) = (a as usize, b as usize, c as usize);
+        if counts(a) && counts(b) && counts(c) {
+            sup[a] += 1;
+            sup[b] += 1;
+            sup[c] += 1;
+        }
+    });
+
+    let mut alive = vec![true; m];
+    let mut queued = vec![false; m];
+    let mut stack: Vec<u32> = (0..m as u32)
+        .filter(|&e| peelable[e as usize] && sup[e as usize] < bar)
+        .collect();
+    for &e in &stack {
+        queued[e as usize] = true;
+    }
+    while let Some(e) = stack.pop() {
+        alive[e as usize] = false;
+        let edge = g.edge(e);
+        merge_common_neighbors(g, edge.u, edge.v, |_, a, b| {
+            let (a, b) = (a as usize, b as usize);
+            // A counted triangle leaves the supports with its first
+            // peeled edge, so no support is decremented twice for it.
+            if alive[a] && alive[b] && counts(a) && counts(b) {
+                for x in [a, b] {
+                    sup[x] -= 1;
+                    if peelable[x] && !queued[x] && sup[x] < bar {
+                        queued[x] = true;
+                        stack.push(x as u32);
+                    }
+                }
+            }
+        });
+    }
+    alive
+}
+
+/// The pair-sweep of Procedures 9 and 10, for a candidate `H = NS(U_k)`
+/// that exceeds the memory budget.
+///
+/// `H` — the records of `g_new` with an endpoint in `U_k` (`in_uk`) — is
+/// extracted to its own file once. Each sweep partitions the surviving `H`
+/// into parts of at most `part_edges` edges with `strategy(sweep)`,
+/// distributes it into part files, and hands every pair bucket to
+/// `peel_bucket` with the mask of the edges the bucket owns: internal to
+/// `U_k` and examined in this pair only (the pair of its endpoints' own
+/// parts). `peel_bucket` returns, like [`peel`], which bucket edges
+/// survived; the others join the peeled set, which every later load
+/// filters out. Returns the peeled edge keys once a sweep peels nothing.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn pair_sweep(
+    g_new: &EdgeListFile,
+    in_uk: &[bool],
+    part_edges: usize,
+    max_sweeps: usize,
+    strategy: impl Fn(usize) -> PartitionStrategy,
+    mut peel_bucket: impl FnMut(&[EdgeRec], &[bool]) -> Vec<bool>,
+    scratch: &ScratchDir,
+    tracker: &IoTracker,
+) -> Result<FxHashSet<u64>> {
+    // Extract H once; all sweeps scan this smaller file.
+    let mut h_writer = EdgeListFile::create(scratch.file("sweep-h"), tracker.clone())?;
+    let mut err: Option<StorageError> = None;
+    g_new.scan(|rec| {
+        if err.is_none() && (in_uk[rec.edge.u as usize] || in_uk[rec.edge.v as usize]) {
+            if let Err(e) = h_writer.push(rec) {
+                err = Some(e);
+            }
+        }
+    })?;
+    if let Some(e) = err {
+        return Err(e);
+    }
+    let h = h_writer.finish()?;
+
+    let mut peeled: FxHashSet<u64> = FxHashSet::default();
+    for sweep in 0..max_sweeps {
+        // Degrees within the surviving H.
+        let mut degrees = vec![0u32; in_uk.len()];
+        h.scan(|rec| {
+            if !peeled.contains(&rec.edge.key()) {
+                degrees[rec.edge.u as usize] += 1;
+                degrees[rec.edge.v as usize] += 1;
+            }
+        })?;
+        let partition = plan_partition(strategy(sweep), &degrees, part_edges, |f| {
+            h.scan(|rec| {
+                if !peeled.contains(&rec.edge.key()) {
+                    f(rec.edge)
+                }
+            })
+        })?;
+        drop(degrees);
+        let files = distribute_parts(&h, &peeled, &partition, scratch, tracker)?;
+        let p = partition.num_parts() as u32;
+
+        let mut sweep_peels = 0usize;
+        for i in 0..p {
+            for j in i..p {
+                let bucket = load_pair(&files, i, j, &peeled)?;
+                if bucket.is_empty() {
+                    continue;
+                }
+                let owned: Vec<bool> = bucket
+                    .iter()
+                    .map(|r| {
+                        let Edge { u, v } = r.edge;
+                        let (cu, cv) = (partition.part_of(u), partition.part_of(v));
+                        (cu.min(cv), cu.max(cv)) == (i, j) && in_uk[u as usize] && in_uk[v as usize]
+                    })
+                    .collect();
+                let alive = peel_bucket(&bucket, &owned);
+                for (r, _) in bucket.iter().zip(alive).filter(|(_, a)| !a) {
+                    peeled.insert(r.edge.key());
+                    sweep_peels += 1;
+                }
+            }
+        }
+        delete_parts(files);
+        if sweep_peels == 0 {
+            h.delete()?;
+            return Ok(peeled);
+        }
+    }
+    Err(StorageError::BudgetTooSmall(format!(
+        "pair-sweep did not reach a fixpoint within {max_sweeps} sweeps"
+    )))
+}
 
 /// Distributes the surviving edges of `h` (those not in `peeled`) into one
 /// file per part: file `x` holds the edges with at least one endpoint in
 /// part `x`, preserving `h`'s (sorted) order.
-pub(crate) fn distribute_parts(
+fn distribute_parts(
     h: &EdgeListFile,
     peeled: &FxHashSet<u64>,
     partition: &Partition,
@@ -60,7 +239,7 @@ pub(crate) fn distribute_parts(
 /// Loads the pair bucket `NS(P_i ∪ P_j)`: the union of part files `i` and
 /// `j`, merged by edge key (both are sorted), filtered by the *current*
 /// peeled set (which may have grown since distribution).
-pub(crate) fn load_pair(
+fn load_pair(
     files: &[EdgeListFile],
     i: u32,
     j: u32,
@@ -108,7 +287,7 @@ pub(crate) fn load_pair(
 }
 
 /// Deletes sweep part files, ignoring already-missing ones.
-pub(crate) fn delete_parts(files: Vec<EdgeListFile>) {
+fn delete_parts(files: Vec<EdgeListFile>) {
     for f in files {
         let _ = f.delete();
     }
@@ -117,7 +296,6 @@ pub(crate) fn delete_parts(files: Vec<EdgeListFile>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use truss_graph::Edge;
     use truss_storage::partition::{plan_partition, PartitionStrategy};
     use truss_storage::record::RecordFile;
 

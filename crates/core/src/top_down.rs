@@ -9,6 +9,12 @@
 //! that no longer support any unclassified triangle are dropped from
 //! `G_new` (Steps 7–9).
 //!
+//! Procedure 8 peels `H` in memory; Procedure 10 is the pair-sweep for an
+//! `H` that exceeds the budget. Both are the peel TD-bottomup's Procedures
+//! 5 and 9 use too (`sweep`), with two parameters: a triangle counts only
+//! when its three edges are k-viable (below), and the bar is `k − 2` (an
+//! internal, unclassified edge with `ψ ≥ k` is peeled at `sup < k − 2`).
+//!
 //! ## Viable supports (`DESIGN.md` §5.2)
 //!
 //! A triangle counts toward a support at level `k` only if **both partner
@@ -36,16 +42,15 @@
 use crate::decompose::improved::merge_common_neighbors;
 use crate::decompose::{truss_decompose, TrussDecomposition};
 use crate::lower_bound::lower_bounding;
+use crate::sweep;
 use crate::upper_bound::upper_bounding;
 use std::collections::BTreeMap;
-use truss_graph::hash::FxHashSet;
 use truss_graph::subgraph::from_parent_edges;
-use truss_graph::{CsrGraph, Edge, VertexId};
-use truss_storage::partition::{plan_partition, PartitionStrategy};
+use truss_graph::{CsrGraph, Edge};
+use truss_storage::partition::PartitionStrategy;
 use truss_storage::record::EdgeRec;
 use truss_storage::{EdgeListFile, IoConfig, IoStats, IoTracker, Result, ScratchDir, StorageError};
 use truss_triangle::external::{edge_list_from_graph_windowed, PassConfig};
-use truss_triangle::list::for_each_triangle;
 
 /// Configuration of TD-topdown.
 #[derive(Debug, Clone, Copy)]
@@ -188,6 +193,8 @@ pub fn top_down_decompose_in(
     let mut classes: BTreeMap<u32, Vec<Edge>> = BTreeMap::new();
     let mut unclassified = g_new.len();
     let edge_budget = (cfg.io.memory_budget / cfg.bytes_per_edge).max(4) as u64;
+    // Half budget so a pair of parts fits in memory.
+    let part_edges = (cfg.io.memory_budget / cfg.bytes_per_edge).max(8) / 2;
 
     // Step 3: k ← max ψ.
     let mut k_first = 0u32;
@@ -279,6 +286,11 @@ pub fn top_down_decompose_in(
             continue;
         }
 
+        // Procedures 8 and 10 may peel internal, unclassified edges with
+        // ψ ≥ k; the survivors among them are Φ_k.
+        let candidate = |r: &EdgeRec| {
+            r.class == 0 && r.bound >= k && in_uk[r.edge.u as usize] && in_uk[r.edge.v as usize]
+        };
         let phi_k: Vec<Edge> = if candidate_edges <= edge_budget {
             // Procedure 8.
             let mut cands: Vec<EdgeRec> = Vec::with_capacity(candidate_edges as usize);
@@ -287,11 +299,47 @@ pub fn top_down_decompose_in(
                     cands.push(rec);
                 }
             })?;
-            proc8_in_memory(&cands, |v| in_uk[v as usize], k)
+            let peelable: Vec<bool> = cands.iter().map(candidate).collect();
+            let alive = peel_viable(&cands, &peelable, k);
+            cands
+                .iter()
+                .zip(peelable.iter().zip(alive))
+                .filter(|(_, (&p, a))| p && *a)
+                .map(|(r, _)| r.edge)
+                .collect()
         } else {
-            // Procedure 10 (pair-sweep).
+            // Procedure 10 (pair-sweep). "Peeled" edges are suspended for
+            // this round only — they stay unclassified in G_new.
             report.oversized_rounds += 1;
-            proc10_pair_sweep(&g_new, &in_uk, n, k, cfg, scratch, &tracker)?
+            let strategy = |sweep: usize| PartitionStrategy::Random {
+                seed: 0x10dd ^ ((sweep as u64) << 8) ^ k as u64,
+            };
+            let peel_bucket = |bucket: &[EdgeRec], owned: &[bool]| {
+                let peelable: Vec<bool> = bucket
+                    .iter()
+                    .zip(owned)
+                    .map(|(r, &o)| o && candidate(r))
+                    .collect();
+                peel_viable(bucket, &peelable, k)
+            };
+            let peeled = sweep::pair_sweep(
+                &g_new,
+                &in_uk,
+                part_edges,
+                cfg.max_sweeps,
+                strategy,
+                peel_bucket,
+                scratch,
+                &tracker,
+            )?;
+            // Fixpoint: the candidates that were never peeled are Φ_k.
+            let mut phi_k = Vec::new();
+            g_new.scan(|rec| {
+                if candidate(&rec) && !peeled.contains(&rec.edge.key()) {
+                    phi_k.push(rec.edge);
+                }
+            })?;
+            phi_k
         };
 
         if !phi_k.is_empty() {
@@ -414,253 +462,13 @@ fn cleanup_classified(
     out.finish()
 }
 
-/// Procedure 8 in memory. `cands` are the `NS(U_k)` records in `G_new` scan
-/// order (sorted by edge key, aligned with the local graph's edge ids).
-fn proc8_in_memory(
-    cands: &[EdgeRec],
-    is_internal_vertex: impl Fn(VertexId) -> bool,
-    k: u32,
-) -> Vec<Edge> {
-    let sub = from_parent_edges(cands.iter().map(|r| r.edge));
-    let m = sub.graph.num_edges();
-    debug_assert_eq!(m, cands.len());
-
-    let mut viable = vec![false; m];
-    let mut peelable = vec![false; m];
-    for (i, rec) in cands.iter().enumerate() {
-        debug_assert_eq!(sub.parent_edge(sub.graph.edge(i as u32)), rec.edge);
-        // Classified edges in G_new were classified at rounds > k; the
-        // unclassified are viable iff their upper bound allows membership in
-        // T_k.
-        viable[i] = rec.class > 0 || rec.bound >= k;
-        let local = sub.graph.edge(i as u32);
-        peelable[i] = rec.class == 0
-            && rec.bound >= k
-            && is_internal_vertex(sub.to_parent[local.u as usize])
-            && is_internal_vertex(sub.to_parent[local.v as usize]);
-    }
-
-    let mut sup = vec![0u32; m];
-    for_each_triangle(&sub.graph, |_, _, _, a, b, c| {
-        if viable[a as usize] && viable[b as usize] && viable[c as usize] {
-            sup[a as usize] += 1;
-            sup[b as usize] += 1;
-            sup[c as usize] += 1;
-        }
-    });
-
-    let threshold = k - 2; // peel strictly-below (Procedure 8 line 2)
-    let mut present = vec![true; m];
-    let mut queued = vec![false; m];
-    let mut stack: Vec<u32> = (0..m as u32)
-        .filter(|&e| peelable[e as usize] && sup[e as usize] < threshold)
-        .collect();
-    for &e in &stack {
-        queued[e as usize] = true;
-    }
-    while let Some(e) = stack.pop() {
-        present[e as usize] = false;
-        let edge = sub.graph.edge(e);
-        merge_common_neighbors(&sub.graph, edge.u, edge.v, |_, a, b| {
-            let (ai, bi) = (a as usize, b as usize);
-            if present[ai] && present[bi] && viable[ai] && viable[bi] && viable[e as usize] {
-                for other in [a, b] {
-                    if sup[other as usize] > 0 {
-                        sup[other as usize] -= 1;
-                    }
-                    if peelable[other as usize]
-                        && !queued[other as usize]
-                        && sup[other as usize] < threshold
-                    {
-                        queued[other as usize] = true;
-                        stack.push(other);
-                    }
-                }
-            }
-        });
-    }
-
-    // Line 6: survivors among the peelable (internal, unclassified, viable)
-    // edges are Φ_k.
-    let mut phi_k: Vec<Edge> = (0..m as u32)
-        .filter(|&e| peelable[e as usize] && present[e as usize])
-        .map(|e| sub.parent_edge(sub.graph.edge(e)))
-        .collect();
-    phi_k.sort_unstable();
-    phi_k
-}
-
-/// Procedure 10: the pair-sweep analogue of Procedure 8 for candidates that
-/// exceed memory. "Peeled" edges are suspended for this round only — they
-/// stay unclassified in `G_new`.
-fn proc10_pair_sweep(
-    g_new: &EdgeListFile,
-    in_uk: &[bool],
-    n: usize,
-    k: u32,
-    cfg: &TopDownConfig,
-    scratch: &ScratchDir,
-    tracker: &IoTracker,
-) -> Result<Vec<Edge>> {
-    let mut peeled: FxHashSet<u64> = FxHashSet::default();
-    let budget_half_edges = (cfg.io.memory_budget / cfg.bytes_per_edge).max(8) / 2;
-    let in_h = |e: &Edge| in_uk[e.u as usize] || in_uk[e.v as usize];
-
-    // Extract H once; all sweeps scan this smaller file.
-    let mut h_writer = EdgeListFile::create(scratch.file("proc10-h"), tracker.clone())?;
-    let mut err: Option<StorageError> = None;
-    g_new.scan(|rec| {
-        if err.is_none() && in_h(&rec.edge) {
-            if let Err(e) = h_writer.push(rec) {
-                err = Some(e);
-            }
-        }
-    })?;
-    if let Some(e) = err {
-        return Err(e);
-    }
-    let h = h_writer.finish()?;
-
-    for sweep in 0..cfg.max_sweeps {
-        let mut degrees = vec![0u32; n];
-        h.scan(|rec| {
-            if !peeled.contains(&rec.edge.key()) {
-                degrees[rec.edge.u as usize] += 1;
-                degrees[rec.edge.v as usize] += 1;
-            }
-        })?;
-        let strategy = PartitionStrategy::Random {
-            seed: 0x10dd ^ ((sweep as u64) << 8) ^ k as u64,
-        };
-        let partition = plan_partition(strategy, &degrees, budget_half_edges, |f| {
-            h.scan(|rec| {
-                if !peeled.contains(&rec.edge.key()) {
-                    f(rec.edge)
-                }
-            })
-        })?;
-        drop(degrees);
-        let files = crate::sweep::distribute_parts(&h, &peeled, &partition, scratch, tracker)?;
-        let p = partition.num_parts() as u32;
-
-        let mut sweep_peels = 0usize;
-        for i in 0..p {
-            for j in i..p {
-                let bucket = crate::sweep::load_pair(&files, i, j, &peeled)?;
-                if bucket.is_empty() {
-                    continue;
-                }
-                let newly = proc10_pair_bucket(&bucket, in_uk, &partition, (i, j), k);
-                for e in newly {
-                    peeled.insert(e.key());
-                    sweep_peels += 1;
-                }
-            }
-        }
-        crate::sweep::delete_parts(files);
-        if sweep_peels == 0 {
-            h.delete()?;
-            // Fixpoint: survivors among peelable edges are Φ_k.
-            let mut phi_k = Vec::new();
-            g_new.scan(|rec| {
-                if rec.class == 0
-                    && rec.bound >= k
-                    && in_uk[rec.edge.u as usize]
-                    && in_uk[rec.edge.v as usize]
-                    && !peeled.contains(&rec.edge.key())
-                {
-                    phi_k.push(rec.edge);
-                }
-            })?;
-            phi_k.sort_unstable();
-            return Ok(phi_k);
-        }
-    }
-    Err(StorageError::BudgetTooSmall(format!(
-        "procedure-10 pair-sweep did not converge within {} sweeps",
-        cfg.max_sweeps
-    )))
-}
-
-/// Peels one pair bucket with viable supports. Only edges *owned* by the
-/// pair (both endpoint parts in `{i, j}`, canonical) and peelable
-/// (unclassified, `ψ ≥ k`, internal to `U_k`) may be suspended.
-fn proc10_pair_bucket(
-    bucket: &[EdgeRec],
-    in_uk: &[bool],
-    partition: &truss_storage::Partition,
-    (i, j): (u32, u32),
-    k: u32,
-) -> Vec<Edge> {
-    let sub = from_parent_edges(bucket.iter().map(|r| r.edge));
-    let m = sub.graph.num_edges();
-    debug_assert_eq!(m, bucket.len());
-
-    let mut viable = vec![false; m];
-    let mut owned = vec![false; m];
-    for (idx, rec) in bucket.iter().enumerate() {
-        viable[idx] = rec.class > 0 || rec.bound >= k;
-        let local = sub.graph.edge(idx as u32);
-        let (pu, pv) = (
-            sub.to_parent[local.u as usize],
-            sub.to_parent[local.v as usize],
-        );
-        let (cu, cv) = (partition.part_of(pu), partition.part_of(pv));
-        let pair_owned = (cu == i || cu == j) && (cv == i || cv == j);
-        let canonical = {
-            let (lo, hi) = if cu <= cv { (cu, cv) } else { (cv, cu) };
-            lo == i && hi == j
-        };
-        owned[idx] = pair_owned
-            && canonical
-            && rec.class == 0
-            && rec.bound >= k
-            && in_uk[pu as usize]
-            && in_uk[pv as usize];
-    }
-
-    let mut sup = vec![0u32; m];
-    for_each_triangle(&sub.graph, |_, _, _, a, b, c| {
-        if viable[a as usize] && viable[b as usize] && viable[c as usize] {
-            sup[a as usize] += 1;
-            sup[b as usize] += 1;
-            sup[c as usize] += 1;
-        }
-    });
-
-    let threshold = k - 2;
-    let mut present = vec![true; m];
-    let mut queued = vec![false; m];
-    let mut stack: Vec<u32> = (0..m as u32)
-        .filter(|&e| owned[e as usize] && sup[e as usize] < threshold)
-        .collect();
-    for &e in &stack {
-        queued[e as usize] = true;
-    }
-    let mut out = Vec::new();
-    while let Some(e) = stack.pop() {
-        present[e as usize] = false;
-        out.push(sub.parent_edge(sub.graph.edge(e)));
-        let edge = sub.graph.edge(e);
-        merge_common_neighbors(&sub.graph, edge.u, edge.v, |_, a, b| {
-            let (ai, bi) = (a as usize, b as usize);
-            if present[ai] && present[bi] && viable[ai] && viable[bi] {
-                for other in [a, b] {
-                    if sup[other as usize] > 0 {
-                        sup[other as usize] -= 1;
-                    }
-                    if owned[other as usize]
-                        && !queued[other as usize]
-                        && sup[other as usize] < threshold
-                    {
-                        queued[other as usize] = true;
-                        stack.push(other);
-                    }
-                }
-            }
-        });
-    }
-    out
+/// Procedures 8 and 10 on one edge set held in memory: peels the
+/// `peelable` edges at a viable support below `k − 2`. A triangle counts
+/// only when all three edges are k-viable — already classified (at a
+/// round > k) or unclassified with `ψ ≥ k`. Returns which edges survived.
+fn peel_viable(recs: &[EdgeRec], peelable: &[bool], k: u32) -> Vec<bool> {
+    let viable: Vec<bool> = recs.iter().map(|r| r.class > 0 || r.bound >= k).collect();
+    sweep::peel(recs, |e| viable[e], peelable, k - 2)
 }
 
 #[cfg(test)]
@@ -669,6 +477,7 @@ mod tests {
     use crate::decompose::truss_decompose_naive;
     use truss_graph::generators::erdos_renyi::gnm;
     use truss_graph::generators::figures::{figure2_classes, figure2_graph};
+    use truss_graph::generators::planted::planted_clique;
 
     fn big_io() -> IoConfig {
         IoConfig::with_budget(1 << 22)
@@ -728,18 +537,32 @@ mod tests {
 
     #[test]
     fn matches_with_tiny_budget() {
-        let g = gnm(45, 280, 6);
-        let exact = truss_decompose_naive(&g);
-        let mut cfg = TopDownConfig::new(IoConfig {
-            memory_budget: 64 * 64,
-            block_size: 256,
-        });
-        cfg.use_kinit = false;
-        let (res, report) = top_down_decompose(&g, &cfg).unwrap();
-        assert!(res.complete);
-        let d = res.to_decomposition(&g).unwrap();
-        assert_eq!(d.trussness(), exact.trussness());
-        assert!(report.oversized_rounds > 0, "expected Procedure 10 rounds");
+        let mut graphs: Vec<(String, CsrGraph)> = [6u64, 11, 19, 31]
+            .into_iter()
+            .map(|seed| (format!("gnm seed {seed}"), gnm(45, 280, seed)))
+            .collect();
+        graphs.push((
+            "planted K_12".into(),
+            planted_clique(&gnm(150, 220, 3), 12, 7),
+        ));
+        for (name, g) in &graphs {
+            let exact = truss_decompose_naive(g);
+            for use_kinit in [false, true] {
+                let mut cfg = TopDownConfig::new(IoConfig {
+                    memory_budget: 64 * 64,
+                    block_size: 256,
+                });
+                cfg.use_kinit = use_kinit;
+                let (res, report) = top_down_decompose(g, &cfg).unwrap();
+                assert!(res.complete, "{name} kinit {use_kinit}");
+                let d = res.to_decomposition(g).unwrap();
+                assert_eq!(d.trussness(), exact.trussness(), "{name} kinit {use_kinit}");
+                assert!(
+                    report.oversized_rounds > 0,
+                    "{name} kinit {use_kinit}: expected Procedure 10 rounds"
+                );
+            }
+        }
     }
 
     #[test]

@@ -55,7 +55,7 @@ use std::time::Duration;
 use truss_core::index::TrussIndex;
 use truss_graph::EdgeDelta;
 use truss_storage::wal::{plan_recovery, scan_wal, truncate_torn_tail, WalWriter};
-use truss_storage::{atomic_replace, fault, fsync_dir, LoadMode};
+use truss_storage::{atomic_replace, atomic_replace_with, LoadMode};
 
 /// How long blocked readers/writer sleep between shutdown-flag checks.
 const POLL: Duration = Duration::from_millis(50);
@@ -699,52 +699,27 @@ fn commit_batch(
 /// crash between 2 and 3 likewise (the intent matches nothing on disk
 /// and is ignored); a crash between 3 and 5 leaves the new snapshot +
 /// old log, which recovery finishes via the intent record.
+///
+/// Steps 1–4 are [`atomic_replace_with`] (failpoints `compact-*`), with
+/// step 2 as its pre-rename step.
 fn compact(gen: &Generation, wal: &mut WalState, path: &Path) -> Result<(), String> {
-    let tmp = {
-        let name = path
-            .file_name()
-            .map(|n| n.to_string_lossy().into_owned())
-            .unwrap_or_else(|| "snapshot".to_string());
-        path.with_file_name(format!(".{name}.compact{}", std::process::id()))
-    };
-    let mut run = |tmp: &Path| -> Result<(), String> {
-        let fail = |what: &str, e: &dyn std::fmt::Display| format!("{what}: {e}");
-        fault::hit("compact-temp-write").map_err(|e| fail("temp write", &e))?;
-        let file = std::fs::File::create(tmp).map_err(|e| fail("temp create", &e))?;
-        let mut w = std::io::BufWriter::new(file);
-        let checksum = gen
-            .index
-            .write_snapshot(&mut w)
-            .map_err(|e| fail("temp write", &e))?;
-        use std::io::Write as _;
-        w.flush().map_err(|e| fail("temp flush", &e))?;
-        let file = w.into_inner().map_err(|e| fail("temp flush", &e))?;
-        fault::hit("compact-fsync").map_err(|e| fail("temp fsync", &e))?;
-        file.sync_all().map_err(|e| fail("temp fsync", &e))?;
-        drop(file);
-        wal.writer
-            .append_compact(gen.number, checksum)
-            .map_err(|e| fail("intent append", &e))?;
-        wal.writer.sync().map_err(|e| fail("intent fsync", &e))?;
-        fault::hit("compact-before-rename").map_err(|e| fail("rename", &e))?;
-        std::fs::rename(tmp, path).map_err(|e| fail("rename", &e))?;
-        fault::hit("compact-after-rename").map_err(|e| fail("rename", &e))?;
-        fault::hit("compact-before-dirsync").map_err(|e| fail("dir fsync", &e))?;
-        if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
-            fsync_dir(parent).map_err(|e| fail("dir fsync", &e))?;
-        } else {
-            fsync_dir(Path::new(".")).map_err(|e| fail("dir fsync", &e))?;
-        }
-        wal.writer
-            .reset(gen.number, checksum)
-            .map_err(|e| fail("log reset", &e))?;
-        Ok(())
-    };
-    let out = run(&tmp);
-    if out.is_err() {
-        let _ = std::fs::remove_file(&tmp);
-    }
-    out
+    let checksum = atomic_replace_with(
+        path,
+        "compact",
+        |w| {
+            gen.index
+                .write_snapshot(w)
+                .map_err(|e| std::io::Error::other(e.to_string()))
+        },
+        |&checksum| {
+            wal.writer.append_compact(gen.number, checksum)?;
+            wal.writer.sync()
+        },
+    )
+    .map_err(|e| format!("{}: {e}", path.display()))?;
+    wal.writer
+        .reset(gen.number, checksum)
+        .map_err(|e| format!("log reset: {e}"))
 }
 
 // ---------------------------------------------------------------------------

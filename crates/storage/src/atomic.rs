@@ -15,6 +15,9 @@
 //! 3. `rename` temp → target (readers see old-or-new, never a mix),
 //! 4. `fsync` the parent directory (the rename is now durable).
 //!
+//! [`atomic_replace_with`] adds one caller step between 2 and 3 (WAL
+//! compaction makes its intent record durable there).
+//!
 //! Each step carries a [`crate::fault`] failpoint named
 //! `{prefix}-temp-write`, `{prefix}-fsync`, `{prefix}-before-rename`,
 //! `{prefix}-after-rename`, `{prefix}-before-dirsync`, so the
@@ -64,8 +67,22 @@ pub fn atomic_replace<T>(
     site_prefix: &str,
     write: impl FnOnce(&mut BufWriter<File>) -> io::Result<T>,
 ) -> io::Result<T> {
+    atomic_replace_with(target, site_prefix, write, |_| Ok(()))
+}
+
+/// [`atomic_replace`] with one extra step between steps 2 and 3: once
+/// the temp file is durable, and before the `{prefix}-before-rename`
+/// failpoint, `before_rename` runs with the callback's value. WAL
+/// compaction appends and fsyncs its intent record (which names the new
+/// snapshot's checksum) there. If it fails, the rename never happens.
+pub fn atomic_replace_with<T>(
+    target: &Path,
+    site_prefix: &str,
+    write: impl FnOnce(&mut BufWriter<File>) -> io::Result<T>,
+    before_rename: impl FnOnce(&T) -> io::Result<()>,
+) -> io::Result<T> {
     let tmp = temp_path(target, site_prefix);
-    let result = atomic_replace_inner(target, &tmp, site_prefix, write);
+    let result = atomic_replace_inner(target, &tmp, site_prefix, write, before_rename);
     if result.is_err() {
         let _ = fs::remove_file(&tmp);
     }
@@ -77,6 +94,7 @@ fn atomic_replace_inner<T>(
     tmp: &Path,
     site_prefix: &str,
     write: impl FnOnce(&mut BufWriter<File>) -> io::Result<T>,
+    before_rename: impl FnOnce(&T) -> io::Result<()>,
 ) -> io::Result<T> {
     fault::hit(&format!("{site_prefix}-temp-write"))?;
     let file = File::create(tmp)?;
@@ -89,6 +107,7 @@ fn atomic_replace_inner<T>(
     fault::hit(&format!("{site_prefix}-fsync"))?;
     file.sync_all()?;
     drop(file);
+    before_rename(&value)?;
     fault::hit(&format!("{site_prefix}-before-rename"))?;
     fs::rename(tmp, target)?;
     fault::hit(&format!("{site_prefix}-after-rename"))?;
@@ -148,6 +167,26 @@ mod tests {
         })
         .unwrap_err();
         assert!(err.to_string().contains("writer failed"));
+        assert_eq!(fs::read(&target).unwrap(), b"precious");
+        assert_eq!(fs::read_dir(dir.path()).unwrap().count(), 1, "temp removed");
+    }
+
+    #[test]
+    fn before_rename_step_sees_the_value_and_can_abort() {
+        let dir = ScratchDir::new().unwrap();
+        let target = dir.path().join("data.bin");
+        fs::write(&target, b"precious").unwrap();
+        let err = atomic_replace_with(
+            &target,
+            "t",
+            |w| w.write_all(b"new").map(|()| 7u64),
+            |&v| {
+                assert_eq!(v, 7);
+                Err(io::Error::other("intent failed"))
+            },
+        )
+        .unwrap_err();
+        assert!(err.to_string().contains("intent failed"));
         assert_eq!(fs::read(&target).unwrap(), b"precious");
         assert_eq!(fs::read_dir(dir.path()).unwrap().count(), 1, "temp removed");
     }

@@ -38,7 +38,7 @@ pub mod snapshot;
 pub mod wal;
 pub mod window;
 
-pub use atomic::{atomic_replace, fsync_dir};
+pub use atomic::{atomic_replace, atomic_replace_with, fsync_dir};
 pub use index_file::{read_index_file, write_index_file, INDEX_MAGIC, INDEX_VERSION};
 pub use io_model::{IoConfig, IoStats, IoTracker};
 pub use mmap::{evict_page_cache, LoadMode, Region};
@@ -51,8 +51,8 @@ pub use snapshot::{
     GRAPH_MAGIC_V2, SNAPSHOT_VERSION,
 };
 pub use wal::{
-    plan_recovery, scan_wal, truncate_torn_tail, HashingWriter, Recovery, WalError, WalHeader,
-    WalPayload, WalRecord, WalScan, WalStats, WalWriter,
+    plan_recovery, scan_wal, truncate_torn_tail, Recovery, WalError, WalHeader, WalPayload,
+    WalRecord, WalScan, WalStats, WalWriter,
 };
 pub use window::{Window, WindowStats, PAGE_BYTES};
 

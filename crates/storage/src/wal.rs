@@ -51,7 +51,7 @@ use truss_graph::{Edge, EdgeDelta};
 
 use crate::atomic::{atomic_replace, fsync_dir};
 use crate::fault;
-use crate::snapshot::{fnv1a64, Fnv1a64};
+use crate::snapshot::fnv1a64;
 
 /// File magic, first 8 bytes.
 pub const WAL_MAGIC: &[u8; 8] = b"TRUSSLOG";
@@ -745,41 +745,6 @@ pub fn plan_recovery(scan: &WalScan, disk_checksum: u64) -> Result<Recovery, Wal
     })
 }
 
-/// Streaming checksum adapter: wraps a writer, folds every byte into an
-/// FNV-1a 64. Lets compaction checksum the snapshot it writes without a
-/// second read pass.
-pub struct HashingWriter<W> {
-    inner: W,
-    hash: Fnv1a64,
-}
-
-impl<W: Write> HashingWriter<W> {
-    /// Wraps `inner`.
-    pub fn new(inner: W) -> Self {
-        HashingWriter {
-            inner,
-            hash: Fnv1a64::new(),
-        }
-    }
-
-    /// The hash of everything written so far.
-    pub fn finish(&self) -> u64 {
-        self.hash.finish()
-    }
-}
-
-impl<W: Write> Write for HashingWriter<W> {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        let n = self.inner.write(buf)?;
-        self.hash.update(&buf[..n]);
-        Ok(n)
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        self.inner.flush()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1017,17 +982,6 @@ mod tests {
         let scan = scan_wal(&path).unwrap();
         assert_eq!(scan.records.len(), 3);
         assert_eq!(scan.records[2].seq, 3);
-    }
-
-    #[test]
-    fn hashing_writer_matches_whole_slice_hash() {
-        let mut out = Vec::new();
-        let mut hw = HashingWriter::new(&mut out);
-        hw.write_all(b"hello ").unwrap();
-        hw.write_all(b"world").unwrap();
-        let h = hw.finish();
-        assert_eq!(h, fnv1a64(b"hello world"));
-        assert_eq!(out, b"hello world");
     }
 
     #[test]
