@@ -430,9 +430,10 @@ impl<T: Spillable> SpillBuckets<T> {
     /// out-of-core record type is (increments commute, probes are
     /// independent).
     ///
-    /// The bucket's path is retired on the drain first — the rendezvous guarantees every queued append landed
-    /// before the scan, and that a later reuse of this bucket opens a
-    /// fresh file rather than appending to the unlinked inode.
+    /// The bucket's path is retired on the drain first — the rendezvous
+    /// guarantees every queued append landed before the scan, and that a
+    /// later reuse of this bucket opens a fresh file rather than appending
+    /// to the unlinked inode.
     pub fn drain(&mut self, s: usize, mut f: impl FnMut(T)) -> Result<()> {
         if self.has_run[s] {
             self.drain.retire(&self.paths[s])?;

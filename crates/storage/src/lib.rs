@@ -38,7 +38,7 @@ pub mod snapshot;
 pub mod wal;
 pub mod window;
 
-pub use atomic::{atomic_replace, atomic_replace_with, fsync_dir};
+pub use atomic::{atomic_replace, atomic_replace_with};
 pub use index_file::{read_index_file, write_index_file, INDEX_MAGIC, INDEX_VERSION};
 pub use io_model::{IoConfig, IoStats, IoTracker};
 pub use mmap::{evict_page_cache, LoadMode, Region};
