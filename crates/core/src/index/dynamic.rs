@@ -449,6 +449,31 @@ mod tests {
     }
 
     #[test]
+    fn update_stats_are_pinned() {
+        // The ack reply carries these numbers; a faster update must not
+        // change what it reports.
+        // (seeded, settled, lowered) per delta.
+        let cases = [
+            (EdgeDelta::inserting([Edge::new(4, 7)]), (1, 0), (10, 13, 5)),
+            (EdgeDelta::removing([Edge::new(0, 1)]), (0, 1), (6, 9, 9)),
+            (
+                EdgeDelta {
+                    insert: vec![Edge::new(4, 7), Edge::new(6, 9)],
+                    remove: vec![Edge::new(0, 1), Edge::new(2, 3)],
+                },
+                (2, 2),
+                (33, 39, 36),
+            ),
+        ];
+        for (delta, (inserted, removed), work) in cases {
+            let mut index = TrussIndex::from_decompose(figure2_graph());
+            let s = index.apply(&delta);
+            assert_eq!((s.inserted, s.removed, s.skipped), (inserted, removed, 0));
+            assert_eq!((s.seeded, s.settled, s.lowered), work, "{delta:?}");
+        }
+    }
+
+    #[test]
     fn insert_extends_vertex_range() {
         let mut index = TrussIndex::from_decompose(complete(3));
         index.insert_edges(&[Edge::new(0, 9), Edge::new(1, 9), Edge::new(2, 9)]);

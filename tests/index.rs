@@ -113,6 +113,88 @@ proptest! {
     }
 }
 
+/// The index's full v2 byte image (graph sections, trussness and every
+/// derived section), plus the container checksum it carries.
+fn image(index: &TrussIndex) -> (Vec<u8>, u64) {
+    let mut bytes = Vec::new();
+    let checksum = index.write_snapshot(&mut bytes).unwrap();
+    (bytes, checksum)
+}
+
+/// What a from-scratch build of the same edge set over `n` vertices
+/// writes.
+fn rebuilt_image(edges: &[Edge], n: usize) -> (Vec<u8>, u64) {
+    let g = CsrGraph::with_min_vertices(CsrGraph::from_edges(edges.to_vec()), n);
+    let d = truss_decompose(&g);
+    image(&TrussIndex::from_parts(g, d))
+}
+
+/// Strategy: one round of a multi-round update — random operations over
+/// `0..n` (ids past the indexed range included) plus a selector for the
+/// edge-order extremes: bit 0 also removes the current first edge, bit 1
+/// the current last one, bit 2 repeats the first operation (a duplicate),
+/// and 15 drains the graph to empty.
+fn arb_round(n: u32) -> impl Strategy<Value = (Vec<(u32, u32, u32)>, u32)> {
+    (arb_ops(n, 24), 0..16u32)
+}
+
+fn round_delta(index: &TrussIndex, ops: &[(u32, u32, u32)], extremes: u32) -> EdgeDelta {
+    let mut delta = delta_from_ops(ops);
+    let edges = index.graph().edges();
+    if extremes == 15 {
+        delta.remove.extend_from_slice(edges);
+        return delta;
+    }
+    if extremes & 1 != 0 {
+        delta.remove.extend(edges.first().copied());
+    }
+    if extremes & 2 != 0 {
+        delta.remove.extend(edges.last().copied());
+    }
+    if extremes & 4 != 0 {
+        if let Some(&e) = delta.insert.first() {
+            delta.insert.push(e);
+        }
+        if let Some(&e) = delta.remove.first() {
+            delta.remove.push(e);
+        }
+    }
+    delta
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Round after round of mixed deltas, the maintained index writes the
+    /// byte image a from-scratch build of its edge set writes — graph
+    /// sections, trussness, level order, level counts, vertex trussness
+    /// and the container checksum — and the source index is left as it
+    /// was.
+    #[test]
+    fn applied_deltas_match_rebuild_byte_for_byte(
+        g in arb_graph(30, 200),
+        rounds in prop::collection::vec(arb_round(40), 1..7),
+    ) {
+        let mut index = TrussIndex::from_decompose(g);
+        let mut n = index.num_vertices();
+        for (i, (ops, extremes)) in rounds.iter().enumerate() {
+            let delta = round_delta(&index, ops, *extremes);
+            let before = image(&index);
+            let mut next = index.clone();
+            let stats = next.apply(&delta);
+            prop_assert_eq!(image(&index), before.clone(), "round {}: source changed", i);
+            n = delta.insert.iter().map(|e| e.v as usize + 1).fold(n, usize::max);
+            prop_assert_eq!(next.num_vertices(), n, "round {}: vertex ids never shrink", i);
+            let expected = rebuilt_image(next.graph().edges(), n);
+            prop_assert!(image(&next) == expected, "round {}: image differs from a rebuild", i);
+            if stats.applied() == 0 {
+                prop_assert!(image(&next) == before, "round {}: a no-op changed the image", i);
+            }
+            index = next;
+        }
+    }
+}
+
 #[test]
 fn save_load_round_trip_preserves_queries_and_updates() {
     let g = gen::figure2_graph();
@@ -134,6 +216,26 @@ fn save_load_round_trip_preserves_queries_and_updates() {
     let again = TrussIndex::load(&path).unwrap();
     std::fs::remove_file(&path).unwrap();
     assert_eq!(again.trussness(), back.trussness());
+}
+
+/// A memory-mapped v2 generation is as good a source as a heap-built
+/// one: the same delta gives the same stats and the same byte image.
+#[test]
+fn mapped_generation_updates_like_a_heap_index() {
+    let heap = TrussIndex::from_decompose(gen::gnm(50, 300, 3));
+    let path = std::env::temp_dir().join(format!("truss-it-mapped-{}.tix", std::process::id()));
+    heap.save(&path).unwrap();
+    let mut mapped = TrussIndex::load(&path).unwrap();
+    std::fs::remove_file(&path).unwrap();
+    let edges = heap.graph().edges();
+    let delta = EdgeDelta {
+        insert: vec![Edge::new(0, 1), Edge::new(2, 55), Edge::new(7, 9)],
+        remove: vec![edges[0], edges[edges.len() / 2], *edges.last().unwrap()],
+    };
+    let mut expected = heap.clone();
+    let expected_stats = expected.apply(&delta);
+    assert_eq!(mapped.apply(&delta), expected_stats);
+    assert!(image(&mapped) == image(&expected));
 }
 
 #[test]
