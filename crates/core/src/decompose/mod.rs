@@ -82,6 +82,11 @@ impl TrussDecomposition {
         TrussDecomposition { trussness, k_max }
     }
 
+    /// The trussness section.
+    pub(crate) fn into_section(self) -> SectionBuf<u32> {
+        self.trussness
+    }
+
     /// Truss number of edge `e`.
     #[inline]
     pub fn edge_trussness(&self, e: EdgeId) -> u32 {

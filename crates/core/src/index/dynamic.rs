@@ -43,16 +43,28 @@
 //!   settles. Everything outside the region provably keeps its old value.
 //!
 //! Mixed batches are applied as removals first, then insertions — each
-//! phase is exact, so the composition is exact. The proptest suite and
-//! `tests/consistency.rs` cross-check the result edge-for-edge against
-//! from-scratch recomputation by every registered engine.
+//! phase is exact, so the composition is exact. Both phases run on one
+//! spliced graph ([`CsrGraph::splice`]); the removal phase masks the
+//! inserted edges out of every triangle, so it sees exactly the
+//! post-removal graph.
+//!
+//! The settle's work is proportional to the damage. Around it, a batch
+//! pays one streaming copy of the unchanged sections: the successor is
+//! spliced from the source index, never rebuilt — the graph by runs and
+//! touched rows, the truss numbers by runs, the level order by one
+//! merge, the level counts per level, and vertex trussness only at the
+//! touched endpoints. The result is byte-for-byte the index a
+//! from-scratch build gives; `tests/index.rs` checks that image, and the
+//! proptest suite and `tests/consistency.rs` cross-check the truss
+//! numbers against every registered engine.
 
 use super::TrussIndex;
 use crate::decompose::improved::merge_common_neighbors;
 use crate::decompose::TrussDecomposition;
+use std::cmp::Reverse;
 use std::collections::VecDeque;
 use truss_graph::hash::FxHashSet;
-use truss_graph::{CsrGraph, Edge, EdgeDelta, EdgeId};
+use truss_graph::{CsrBuffers, CsrGraph, Edge, EdgeDelta, EdgeId, EdgeIdMap};
 
 /// What a batch update did, for reporting and benchmarking.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -107,27 +119,35 @@ fn h_index(vals: &[u32], counts: &mut Vec<u32>) -> u32 {
     0
 }
 
-/// Runs the worklist iteration `ρ ← min(ρ, ts(ρ))` to exhaustion.
+/// Runs the worklist iteration `ρ ← min(ρ, ts(ρ))` to exhaustion over
+/// the triangles of `g` that avoid every edge `absent` names, logging
+/// each lowered edge into `lowered`.
 ///
 /// Requires: `rho` is a pointwise upper bound of the true truss numbers of
-/// `g`, and `seeds` contains every edge whose `ts` value may lie below its
-/// `rho` (the invariant is then maintained by the push rule: when `ρ(e)`
-/// drops, only triangle neighbors `f` with `ρ(f) > ρ(e)` can newly
-/// violate the fixpoint).
-fn settle(g: &CsrGraph, rho: &mut [u32], seeds: Vec<EdgeId>, stats: &mut UpdateStats) {
-    let m = g.num_edges();
-    let mut in_queue = vec![false; m];
+/// that graph, and `seeds` contains every edge whose `ts` value may lie
+/// below its `rho` (the invariant is then maintained by the push rule:
+/// when `ρ(e)` drops, only triangle neighbors `f` with `ρ(f) > ρ(e)` can
+/// newly violate the fixpoint). Side state is sized by the worklist, not
+/// by the graph.
+fn settle(
+    g: &CsrGraph,
+    rho: &mut [u32],
+    seeds: Vec<EdgeId>,
+    absent: impl Fn(EdgeId) -> bool,
+    stats: &mut UpdateStats,
+    lowered: &mut Vec<EdgeId>,
+) {
+    let mut in_queue: FxHashSet<EdgeId> = FxHashSet::default();
     let mut queue: VecDeque<EdgeId> = VecDeque::with_capacity(seeds.len());
     for id in seeds {
-        if !in_queue[id as usize] {
-            in_queue[id as usize] = true;
+        if in_queue.insert(id) {
             queue.push_back(id);
         }
     }
     let mut vals: Vec<u32> = Vec::new();
     let mut counts: Vec<u32> = Vec::new();
     while let Some(eid) = queue.pop_front() {
-        in_queue[eid as usize] = false;
+        in_queue.remove(&eid);
         stats.settled += 1;
         let cur = rho[eid as usize];
         if cur == 2 {
@@ -136,16 +156,21 @@ fn settle(g: &CsrGraph, rho: &mut [u32], seeds: Vec<EdgeId>, stats: &mut UpdateS
         let e = g.edge(eid);
         vals.clear();
         merge_common_neighbors(g, e.u, e.v, |_, a, c| {
-            vals.push(rho[a as usize].min(rho[c as usize]));
+            if !absent(a) && !absent(c) {
+                vals.push(rho[a as usize].min(rho[c as usize]));
+            }
         });
         let new = 2 + h_index(&vals, &mut counts);
         if new < cur {
             rho[eid as usize] = new;
             stats.lowered += 1;
+            lowered.push(eid);
             merge_common_neighbors(g, e.u, e.v, |_, a, c| {
+                if absent(a) || absent(c) {
+                    return;
+                }
                 for f in [a, c] {
-                    if rho[f as usize] > new && !in_queue[f as usize] {
-                        in_queue[f as usize] = true;
+                    if rho[f as usize] > new && in_queue.insert(f) {
                         queue.push_back(f);
                     }
                 }
@@ -154,18 +179,67 @@ fn settle(g: &CsrGraph, rho: &mut [u32], seeds: Vec<EdgeId>, stats: &mut UpdateS
     }
 }
 
+/// The emptied allocations of an index that is no longer needed, for a
+/// successor to be written into. The default holds no allocation.
+#[derive(Default)]
+struct Spare {
+    graph: CsrBuffers,
+    trussness: Vec<u32>,
+    order: Vec<EdgeId>,
+    count_ge: Vec<u64>,
+    vertex_truss: Vec<u32>,
+}
+
+impl From<TrussIndex> for Spare {
+    fn from(index: TrussIndex) -> Self {
+        Spare {
+            graph: index.graph.into(),
+            trussness: index.decomp.into_section().into_emptied(),
+            order: index.order.into_emptied(),
+            count_ge: index.count_ge.into_emptied(),
+            vertex_truss: index.vertex_truss.into_emptied(),
+        }
+    }
+}
+
 impl TrussIndex {
     /// Applies a batch of edge updates, maintaining truss numbers
     /// incrementally. Removals are applied first, then insertions; the
-    /// result is edge-for-edge identical to rebuilding the index from
-    /// scratch on the updated graph.
+    /// result is byte-for-byte the index a from-scratch build of the
+    /// updated graph gives. See [`TrussIndex::applied`].
     pub fn apply(&mut self, delta: &EdgeDelta) -> UpdateStats {
-        let mut delta = delta.clone();
-        delta.normalize();
-        let mut stats = UpdateStats::default();
-        self.apply_removals(&delta.remove, &mut stats);
-        self.apply_insertions(&delta.insert, &mut stats);
+        let (next, stats) = self.successor(delta, Spare::default());
+        if let Some(next) = next {
+            *self = next;
+        }
         stats
+    }
+
+    /// The index after `delta`, written straight from `self`, which is
+    /// left untouched: the graph is spliced ([`CsrGraph::splice`]), the
+    /// truss numbers are copied and settled over the affected region
+    /// only, and the derived sections are patched where the truss numbers
+    /// changed. The cost is the region's triangle work plus one streaming
+    /// copy of the unchanged sections — no rebuild, and no copy of
+    /// `self` beforehand. `self` may be a mapped v2 generation.
+    pub fn applied(&self, delta: &EdgeDelta) -> (TrussIndex, UpdateStats) {
+        self.applied_recycling(delta, None)
+    }
+
+    /// [`TrussIndex::applied`], writing the successor into the
+    /// allocations of `retired`, an index the caller no longer needs
+    /// (the result is the same either way). A writer that hands each
+    /// retired generation back here allocates nothing once warm, so an
+    /// update costs the streaming copy alone: no page faults on fresh
+    /// memory, and no freed generation handed back to the OS.
+    pub fn applied_recycling(
+        &self,
+        delta: &EdgeDelta,
+        retired: Option<TrussIndex>,
+    ) -> (TrussIndex, UpdateStats) {
+        let spare = retired.map(Spare::from).unwrap_or_default();
+        let (next, stats) = self.successor(delta, spare);
+        (next.unwrap_or_else(|| self.clone()), stats)
     }
 
     /// Inserts a batch of edges (already-present edges are skipped).
@@ -178,172 +252,284 @@ impl TrussIndex {
         self.apply(&EdgeDelta::removing(edges.iter().copied()))
     }
 
-    /// Removal phase: old truss numbers are upper bounds; seed the
-    /// worklist with the surviving triangle neighborhood of the batch.
-    fn apply_removals(&mut self, remove: &[Edge], stats: &mut UpdateStats) {
-        let present: Vec<Edge> = remove
+    /// The successor index, written into `spare`, or `None` when every
+    /// operation is a no-op.
+    fn successor(&self, delta: &EdgeDelta, spare: Spare) -> (Option<TrussIndex>, UpdateStats) {
+        let mut delta = delta.clone();
+        delta.normalize();
+        let mut stats = UpdateStats::default();
+        let old = &self.graph;
+        let remove: Vec<Edge> = delta
+            .remove
             .iter()
             .copied()
-            .filter(|&e| edge_present(&self.graph, e))
+            .filter(|&e| edge_present(old, e))
             .collect();
-        stats.skipped += remove.len() - present.len();
-        if present.is_empty() {
-            return;
+        // An edge removed and inserted by the same batch is re-inserted.
+        let insert: Vec<Edge> = delta
+            .insert
+            .iter()
+            .copied()
+            .filter(|&e| !edge_present(old, e) || remove.binary_search(&e).is_ok())
+            .collect();
+        stats.removed = remove.len();
+        stats.inserted = insert.len();
+        stats.skipped = delta.len() - remove.len() - insert.len();
+        if remove.is_empty() && insert.is_empty() {
+            return (None, stats);
         }
-        stats.removed += present.len();
-        let removed: FxHashSet<Edge> = present.iter().copied().collect();
 
-        // Edges that lose a triangle: the other two sides of every
-        // triangle through a removed edge (in the pre-removal graph).
-        let mut seeds: FxHashSet<Edge> = FxHashSet::default();
-        for e in &present {
-            merge_common_neighbors(&self.graph, e.u, e.v, |_, a, c| {
+        // Removal seeds come from the old graph: the surviving sides of
+        // every triangle through a removed edge.
+        let mut lost: FxHashSet<Edge> = FxHashSet::default();
+        for e in &remove {
+            merge_common_neighbors(old, e.u, e.v, |_, a, c| {
                 for id in [a, c] {
-                    let f = self.graph.edge(id);
-                    if !removed.contains(&f) {
-                        seeds.insert(f);
+                    let f = old.edge(id);
+                    if remove.binary_search(&f).is_err() {
+                        lost.insert(f);
                     }
                 }
             });
         }
 
-        let old_t = self.decomp.trussness();
-        let mut edges2 = Vec::with_capacity(self.graph.num_edges() - present.len());
-        let mut rho = Vec::with_capacity(edges2.capacity());
-        for (id, e) in self.graph.iter_edges() {
-            if !removed.contains(&e) {
-                edges2.push(e);
-                rho.push(old_t[id as usize]);
-            }
+        // One splice carries both phases: the removal phase settles on
+        // it with the inserted edges masked out, which is exactly the
+        // post-removal graph.
+        let (graph, map) = old.splice(&remove, &insert, spare.graph);
+        let mut rho = map.splice(
+            self.decomp.trussness(),
+            &vec![2; insert.len()],
+            spare.trussness,
+        );
+        let is_new = |id: EdgeId| map.inserted().binary_search(&id).is_ok();
+        let mut touched: Vec<EdgeId> = Vec::new();
+        if !remove.is_empty() {
+            // Old truss numbers are upper bounds under removal.
+            let queue: Vec<EdgeId> = lost
+                .iter()
+                .filter_map(|e| graph.edge_id(e.u, e.v))
+                .collect();
+            stats.seeded += queue.len();
+            settle(&graph, &mut rho, queue, is_new, &mut stats, &mut touched);
         }
-        // Vertex ids are stable: removing edges never removes vertices.
-        let n = self.graph.num_vertices();
-        let g2 = CsrGraph::with_min_vertices(CsrGraph::from_sorted_dedup_edges(edges2), n);
+        if !insert.is_empty() {
+            let region = insertion_region(&graph, &map, &mut rho);
+            stats.seeded += region.len();
+            touched.extend_from_slice(&region);
+            settle(
+                &graph,
+                &mut rho,
+                region,
+                |_| false,
+                &mut stats,
+                &mut touched,
+            );
+        }
 
-        let queue: Vec<EdgeId> = seeds.iter().filter_map(|e| g2.edge_id(e.u, e.v)).collect();
-        stats.seeded += queue.len();
-        settle(&g2, &mut rho, queue, stats);
-
-        self.graph = g2;
-        self.decomp = TrussDecomposition::from_trussness(rho);
-        self.rebuild_derived();
-    }
-
-    /// Insertion phase: grow the affected region from the inserted edges,
-    /// bump the region to its level-window upper bounds, and settle.
-    fn apply_insertions(&mut self, insert: &[Edge], stats: &mut UpdateStats) {
-        let mut fresh: Vec<Edge> = insert
+        // What changed level: removed and re-leveled old edges leave the
+        // order, re-leveled and inserted edges enter it.
+        touched.sort_unstable();
+        touched.dedup();
+        let old_t = self.decomp.trussness();
+        let mut leave: Vec<(u32, EdgeId)> = remove
             .iter()
-            .copied()
-            .filter(|&e| !edge_present(&self.graph, e))
-            .collect();
-        fresh.sort_unstable();
-        fresh.dedup();
-        stats.skipped += insert.len() - fresh.len();
-        if fresh.is_empty() {
-            return;
-        }
-        stats.inserted += fresh.len();
-        let b = fresh.len() as u32;
-
-        // Merge the two sorted edge lists, carrying old truss numbers.
-        let old_edges = self.graph.edges();
-        let old_t = self.decomp.trussness();
-        let m2 = old_edges.len() + fresh.len();
-        let mut edges2: Vec<Edge> = Vec::with_capacity(m2);
-        let mut rho: Vec<u32> = Vec::with_capacity(m2);
-        let mut is_new = vec![false; m2];
-        let (mut i, mut j) = (0usize, 0usize);
-        while i < old_edges.len() || j < fresh.len() {
-            if j >= fresh.len() || (i < old_edges.len() && old_edges[i] < fresh[j]) {
-                edges2.push(old_edges[i]);
-                rho.push(old_t[i]);
-                i += 1;
-            } else {
-                is_new[edges2.len()] = true;
-                edges2.push(fresh[j]);
-                rho.push(2);
-                j += 1;
-            }
-        }
-        let n = self.graph.num_vertices();
-        let g2 = CsrGraph::with_min_vertices(CsrGraph::from_sorted_dedup_edges(edges2), n);
-
-        // Per-edge upper bound on the post-insertion trussness: support+2
-        // for inserted edges, ϕ+b for old ones (+1 per inserted edge).
-        let mut hi: Vec<u32> = (0..m2)
-            .map(|id| {
-                if is_new[id] {
-                    2
-                } else {
-                    rho[id].saturating_add(b)
-                }
+            .map(|e| {
+                let id = old.edge_id(e.u, e.v).expect("removed edge is present");
+                (old_t[id as usize], id)
             })
             .collect();
-        let inserted_ids: Vec<EdgeId> = (0..m2)
-            .filter(|&id| is_new[id])
-            .map(|id| id as EdgeId)
-            .collect();
-        for &id in &inserted_ids {
-            let e = g2.edge(id);
-            let mut sup = 0u32;
-            merge_common_neighbors(&g2, e.u, e.v, |_, _, _| sup += 1);
-            hi[id as usize] = sup + 2;
-        }
-
-        // Region BFS over triangle adjacency. An old edge f can change
-        // only at a level k in [ϕ(f)+1, ϕ(f)+b]; an inserted edge at any
-        // k up to its bound. Propagation across a triangle (r, f, g)
-        // requires a common level k in both windows that the third edge
-        // can also reach (k ≤ hi(g)). Windows are fixed per edge, so one
-        // visit each suffices.
-        let mut region = vec![false; m2];
-        let mut frontier: VecDeque<EdgeId> = VecDeque::new();
-        for &id in &inserted_ids {
-            region[id as usize] = true;
-            frontier.push_back(id);
-        }
-        while let Some(r) = frontier.pop_front() {
-            let er = g2.edge(r);
-            let lo_r = if is_new[r as usize] {
-                2
-            } else {
-                rho[r as usize] + 1
-            };
-            let hi_r = hi[r as usize];
-            merge_common_neighbors(&g2, er.u, er.v, |_, a, c| {
-                for (f, third) in [(a, c), (c, a)] {
-                    let fi = f as usize;
-                    if region[fi] {
-                        continue;
-                    }
-                    let lo_f = if is_new[fi] { 2 } else { rho[fi] + 1 };
-                    let k_lo = lo_f.max(lo_r);
-                    let k_hi = hi[fi].min(hi_r).min(hi[third as usize]);
-                    if k_lo <= k_hi {
-                        region[fi] = true;
-                        frontier.push_back(f);
-                    }
-                }
-            });
-        }
-
-        // Bump the region to its upper bounds and settle it back down to
-        // the greatest fixpoint — the exact new truss numbers.
-        let mut seeds: Vec<EdgeId> = Vec::new();
-        for id in 0..m2 {
-            if region[id] {
-                rho[id] = hi[id];
-                seeds.push(id as EdgeId);
+        let mut enter: Vec<(u32, EdgeId)> = Vec::new();
+        for id in touched {
+            if is_new(id) {
+                continue;
+            }
+            let e = graph.edge(id);
+            let was = old
+                .edge_id(e.u, e.v)
+                .expect("kept edge is in the old graph");
+            if old_t[was as usize] != rho[id as usize] {
+                leave.push((old_t[was as usize], was));
+                enter.push((rho[id as usize], id));
             }
         }
-        stats.seeded += seeds.len();
-        settle(&g2, &mut rho, seeds, stats);
-
-        self.graph = g2;
-        self.decomp = TrussDecomposition::from_trussness(rho);
-        self.rebuild_derived();
+        enter.extend(map.inserted().iter().map(|&id| (rho[id as usize], id)));
+        let derived = (spare.order, spare.count_ge, spare.vertex_truss);
+        let next = self.spliced_derived(graph, &map, rho, &leave, enter, derived);
+        (Some(next), stats)
     }
+
+    /// Assembles the successor over the spliced `graph` and settled
+    /// `rho`: the level order is one merge of `self`'s (ids remapped,
+    /// `leave` dropped) with `enter`, the level counts are patched per
+    /// level, and vertex trussness is recomputed for the endpoints of
+    /// changed edges only. `leave` holds `(old ϕ, old id)`, `enter`
+    /// `(new ϕ, new id)`; the three sections are written into the
+    /// allocations of `spare`.
+    fn spliced_derived(
+        &self,
+        graph: CsrGraph,
+        map: &EdgeIdMap,
+        rho: Vec<u32>,
+        leave: &[(u32, EdgeId)],
+        mut enter: Vec<(u32, EdgeId)>,
+        spare: (Vec<EdgeId>, Vec<u64>, Vec<u32>),
+    ) -> TrussIndex {
+        let (mut order, mut count_ge, mut vertex_truss) = spare;
+        let old_order = self.order.as_slice();
+        let old_ge = self.count_ge.as_slice();
+        let old_edges = self.graph.edges();
+        // The old order's slice of level k: ascending old ids.
+        let level = |k: u32| {
+            let at = |k: usize| old_ge.get(k).map_or(0, |&c| c as usize);
+            at(k as usize + 1)..at(k as usize)
+        };
+
+        let mut gaps: Vec<usize> = leave
+            .iter()
+            .map(|&(t, id)| {
+                let r = level(t);
+                r.start + old_order[r].partition_point(|&x| x < id)
+            })
+            .collect();
+        gaps.sort_unstable();
+        // Each entering edge lands before the first old entry that sorts
+        // after it in (descending ϕ, ascending id) order; the map is
+        // monotone, so "after" compares old ids against the entering
+        // edge's rank among the old edges.
+        enter.sort_unstable_by_key(|&(t, id)| (Reverse(t), id));
+        order.reserve(rho.len());
+        let mut gaps = gaps.into_iter().peekable();
+        let mut cur = 0usize;
+        // Copies the old order up to position `end`, skipping the gaps.
+        let mut copy_to = |end: usize, order: &mut Vec<EdgeId>| {
+            while let Some(g) = gaps.next_if(|&g| g < end) {
+                map.extend_mapped(&old_order[cur..g], order);
+                cur = g + 1;
+            }
+            map.extend_mapped(&old_order[cur..end], order);
+            cur = end;
+        };
+        for &(t, id) in &enter {
+            let e = graph.edge(id);
+            let rank = old_edges.partition_point(|x| *x < e) as EdgeId;
+            let r = level(t);
+            let at = r.start + old_order[r].partition_point(|&x| x < rank);
+            copy_to(at, &mut order);
+            order.push(id);
+        }
+        copy_to(old_order.len(), &mut order);
+        debug_assert_eq!(order.len(), rho.len());
+
+        // count_ge[k] moves by the edges entering minus leaving at ≥ k.
+        let top = enter
+            .iter()
+            .map(|&(t, _)| t)
+            .fold(self.decomp.k_max(), u32::max) as usize
+            + 2;
+        let mut diff = vec![0i64; top];
+        for &(t, _) in leave {
+            diff[t as usize] -= 1;
+        }
+        for &(t, _) in &enter {
+            diff[t as usize] += 1;
+        }
+        count_ge.extend_from_slice(old_ge);
+        count_ge.resize(top, 0);
+        let mut acc = 0i64;
+        for k in (0..top).rev() {
+            acc += diff[k];
+            count_ge[k] = (count_ge[k] as i64 + acc) as u64;
+        }
+        let k_max = (3..top).rev().find(|&k| count_ge[k] > 0).unwrap_or(2);
+        count_ge.truncate(k_max + 2);
+
+        vertex_truss.reserve(graph.num_vertices());
+        vertex_truss.extend_from_slice(&self.vertex_truss);
+        vertex_truss.resize(graph.num_vertices(), 0);
+        let mut ends: Vec<u32> = leave
+            .iter()
+            .map(|&(_, id)| self.graph.edge(id))
+            .chain(enter.iter().map(|&(_, id)| graph.edge(id)))
+            .flat_map(|e| [e.u, e.v])
+            .collect();
+        ends.sort_unstable();
+        ends.dedup();
+        for v in ends {
+            vertex_truss[v as usize] = graph
+                .neighbor_edge_ids(v)
+                .iter()
+                .map(|&id| rho[id as usize])
+                .max()
+                .unwrap_or(0);
+        }
+
+        TrussIndex {
+            graph,
+            decomp: TrussDecomposition::from_section_trusted(rho.into(), k_max as u32),
+            order: order.into(),
+            count_ge: count_ge.into(),
+            vertex_truss: vertex_truss.into(),
+        }
+    }
+}
+
+/// Insertion phase: grows the affected region from the inserted edges,
+/// bumps it to its level-window upper bounds, and returns it in ascending
+/// id order — the worklist that settles it back down to the exact new
+/// truss numbers. `rho` holds the post-removal truss numbers of old
+/// edges on entry.
+fn insertion_region(graph: &CsrGraph, map: &EdgeIdMap, rho: &mut [u32]) -> Vec<EdgeId> {
+    let inserted = map.inserted();
+    let b = inserted.len() as u32;
+    // Per-edge upper bound on the post-insertion trussness: support+2
+    // for inserted edges, ϕ+b for old ones (+1 per inserted edge).
+    let sup_bound: Vec<u32> = inserted
+        .iter()
+        .map(|&id| {
+            let e = graph.edge(id);
+            let mut sup = 0u32;
+            merge_common_neighbors(graph, e.u, e.v, |_, _, _| sup += 1);
+            sup + 2
+        })
+        .collect();
+    let window = |rho: &[u32], id: EdgeId| match inserted.binary_search(&id) {
+        Ok(i) => (2, sup_bound[i]),
+        Err(_) => (rho[id as usize] + 1, rho[id as usize].saturating_add(b)),
+    };
+
+    // Region BFS over triangle adjacency. An old edge f can change only
+    // at a level k in [ϕ(f)+1, ϕ(f)+b]; an inserted edge at any k up to
+    // its bound. Propagation across a triangle (r, f, g) requires a
+    // common level k in both windows that the third edge can also reach
+    // (k ≤ hi(g)). Windows are fixed per edge, so one visit each
+    // suffices.
+    let mut region: FxHashSet<EdgeId> = inserted.iter().copied().collect();
+    let mut frontier: VecDeque<EdgeId> = inserted.iter().copied().collect();
+    while let Some(r) = frontier.pop_front() {
+        let er = graph.edge(r);
+        let (lo_r, hi_r) = window(rho, r);
+        merge_common_neighbors(graph, er.u, er.v, |_, a, c| {
+            for (f, third) in [(a, c), (c, a)] {
+                if region.contains(&f) {
+                    continue;
+                }
+                let (lo_f, hi_f) = window(rho, f);
+                if lo_f.max(lo_r) <= hi_f.min(hi_r).min(window(rho, third).1) {
+                    region.insert(f);
+                    frontier.push_back(f);
+                }
+            }
+        });
+    }
+
+    let mut region: Vec<EdgeId> = region.into_iter().collect();
+    region.sort_unstable();
+    let bumped: Vec<u32> = region.iter().map(|&id| window(rho, id).1).collect();
+    for (&id, hi) in region.iter().zip(bumped) {
+        rho[id as usize] = hi;
+    }
+    region
 }
 
 #[cfg(test)]

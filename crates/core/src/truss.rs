@@ -38,46 +38,70 @@ pub fn is_k_truss(edges: &[Edge], k: u32) -> bool {
     sup.iter().all(|&s| s + 2 >= k)
 }
 
+/// Peeling state over `g`: which edges survive, and each survivor's
+/// support within the survivors.
+struct Peel<'g> {
+    g: &'g CsrGraph,
+    sup: Vec<u32>,
+    alive: Vec<bool>,
+}
+
+impl<'g> Peel<'g> {
+    fn new(g: &'g CsrGraph) -> Self {
+        Peel {
+            g,
+            sup: edge_supports(g),
+            alive: vec![true; g.num_edges()],
+        }
+    }
+
+    /// Peels the survivors down to their `k`-truss: repeatedly deletes
+    /// any survivor with fewer than `k − 2` surviving triangles. Starting
+    /// from any superset of the `k`-truss (the whole graph, or the
+    /// `(k−1)`-truss) the fixpoint is the `k`-truss itself.
+    fn peel_to(&mut self, k: u32) {
+        let need = k.saturating_sub(2);
+        let (g, sup, alive) = (self.g, &mut self.sup, &mut self.alive);
+        let mut stack: Vec<EdgeId> = (0..g.num_edges() as EdgeId)
+            .filter(|&e| alive[e as usize] && sup[e as usize] < need)
+            .collect();
+        // An edge is pushed once: up front, or when its support first
+        // drops below `need` (dead edges are never decremented).
+        while let Some(e) = stack.pop() {
+            alive[e as usize] = false;
+            let edge = g.edge(e);
+            crate::decompose::improved::merge_common_neighbors(g, edge.u, edge.v, |_, a, b| {
+                if alive[a as usize] && alive[b as usize] {
+                    for other in [a, b] {
+                        sup[other as usize] -= 1;
+                        if sup[other as usize] + 1 == need {
+                            stack.push(other);
+                        }
+                    }
+                }
+            });
+        }
+    }
+}
+
 /// Computes the (maximal) `k`-truss of `g` by direct peeling: repeatedly
 /// delete any edge with fewer than `k − 2` surviving triangles. Returns the
 /// surviving edge ids. The fixpoint of this deletion is the unique largest
 /// subgraph satisfying the definition.
 pub fn peel_to_k_truss(g: &CsrGraph, k: u32) -> Vec<EdgeId> {
-    let m = g.num_edges();
-    let mut sup = edge_supports(g);
-    let mut alive = vec![true; m];
-    let need = k.saturating_sub(2);
-    let mut stack: Vec<EdgeId> = (0..m as EdgeId)
-        .filter(|&e| sup[e as usize] < need)
-        .collect();
-    let mut queued = vec![false; m];
-    for &e in &stack {
-        queued[e as usize] = true;
-    }
-    while let Some(e) = stack.pop() {
-        if !alive[e as usize] {
-            continue;
-        }
-        alive[e as usize] = false;
-        let edge = g.edge(e);
-        crate::decompose::improved::merge_common_neighbors(g, edge.u, edge.v, |_, a, b| {
-            if alive[a as usize] && alive[b as usize] {
-                for other in [a, b] {
-                    sup[other as usize] -= 1;
-                    if sup[other as usize] < need && !queued[other as usize] {
-                        queued[other as usize] = true;
-                        stack.push(other);
-                    }
-                }
-            }
-        });
-    }
-    (0..m as EdgeId).filter(|&e| alive[e as usize]).collect()
+    let mut peel = Peel::new(g);
+    peel.peel_to(k);
+    (0..g.num_edges() as EdgeId)
+        .filter(|&e| peel.alive[e as usize])
+        .collect()
 }
 
-/// Verifies a decomposition against the definition for every `k`:
-/// `{e : ϕ(e) ≥ k}` must equal the peeling fixpoint [`peel_to_k_truss`].
-/// Returns a description of the first violation.
+/// Verifies a decomposition against the definition for every `k` from 2
+/// to `k_max + 1`: `{e : ϕ(e) ≥ k}` must equal the `k`-truss found by
+/// peeling, and the `(k_max + 1)`-truss must be empty. The peel is done
+/// once, level by level — `T_{k+1}` is the peel of `T_k` at `k + 1` — so
+/// the check costs one peel, not one per level. Returns a description of
+/// the first violation.
 pub fn verify_decomposition(g: &CsrGraph, d: &TrussDecomposition) -> Result<(), String> {
     if d.num_edges() != g.num_edges() {
         return Err(format!(
@@ -86,22 +110,20 @@ pub fn verify_decomposition(g: &CsrGraph, d: &TrussDecomposition) -> Result<(), 
             g.num_edges()
         ));
     }
-    for k in 2..=d.k_max() {
-        let mut claimed = d.truss_edge_ids(k);
-        claimed.sort_unstable();
-        let mut actual = peel_to_k_truss(g, k);
-        actual.sort_unstable();
-        if claimed != actual {
+    let t = d.trussness();
+    let mut peel = Peel::new(g);
+    for k in 2..=d.k_max() + 1 {
+        peel.peel_to(k);
+        if t.iter()
+            .zip(&peel.alive)
+            .any(|(&t, &alive)| alive != (t >= k))
+        {
             return Err(format!(
                 "{k}-truss mismatch: decomposition claims {} edges, peeling gives {}",
-                claimed.len(),
-                actual.len()
+                t.iter().filter(|&&t| t >= k).count(),
+                peel.alive.iter().filter(|&&alive| alive).count()
             ));
         }
-    }
-    // And (k_max + 1)-truss must be empty.
-    if !peel_to_k_truss(g, d.k_max() + 1).is_empty() {
-        return Err(format!("a ({})-truss exists beyond k_max", d.k_max() + 1));
     }
     Ok(())
 }
@@ -127,6 +149,26 @@ mod tests {
             let g = gnm(60, 450, seed);
             let d = truss_decompose(&g);
             verify_decomposition(&g, &d).expect("random graph");
+        }
+    }
+
+    #[test]
+    fn one_edge_off_by_one_is_a_truss_mismatch() {
+        // ±1 on one edge at the lowest and at the highest level: every
+        // one must be caught, whether it moves the edge into a level,
+        // out of it, or past k_max.
+        for g in [figure2_graph(), gnm(60, 450, 2)] {
+            let t = truss_decompose(&g).trussness().to_vec();
+            let lowest_above_2 = t.iter().copied().filter(|&x| x > 2).min().unwrap();
+            let k_max = *t.iter().max().unwrap();
+            for (level, step) in [(2, 1), (lowest_above_2, -1), (k_max, 1), (k_max, -1)] {
+                let id = t.iter().position(|&x| x == level).unwrap();
+                let mut bad = t.clone();
+                bad[id] = (level as i64 + step) as u32;
+                let err = verify_decomposition(&g, &TrussDecomposition::from_trussness(bad))
+                    .expect_err("a mutated decomposition must fail");
+                assert!(err.contains("-truss mismatch"), "{level}{step:+}: {err}");
+            }
         }
     }
 

@@ -170,6 +170,18 @@ impl CsrGraph {
         })
     }
 
+    /// The four sections, in [`CsrGraph::from_sections`] order.
+    pub fn into_sections(
+        self,
+    ) -> (
+        SectionBuf<u64>,
+        SectionBuf<VertexId>,
+        SectionBuf<EdgeId>,
+        SectionBuf<Edge>,
+    ) {
+        (self.offsets, self.neighbors, self.edge_ids, self.edges)
+    }
+
     /// Returns `g` extended to at least `n` vertices (the extra ids are
     /// isolated). Formats that declare an explicit vertex count (METIS) use
     /// this to preserve trailing isolated vertices.

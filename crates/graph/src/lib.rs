@@ -32,6 +32,7 @@ pub mod io;
 pub mod metrics;
 pub mod permute;
 pub mod section;
+pub mod splice;
 pub mod subgraph;
 pub mod types;
 
@@ -41,4 +42,5 @@ pub use delta::EdgeDelta;
 pub use edge::Edge;
 pub use error::GraphError;
 pub use section::SectionBuf;
+pub use splice::{CsrBuffers, EdgeIdMap};
 pub use types::{EdgeId, VertexId};

@@ -366,6 +366,18 @@ impl<T: Pod> SectionBuf<T> {
         }
     }
 
+    /// Consumes the buffer for its allocation: an owned buffer's vector,
+    /// emptied, or a new empty vector for a view.
+    pub fn into_emptied(self) -> Vec<T> {
+        match self {
+            SectionBuf::Owned(mut v) => {
+                v.clear();
+                v
+            }
+            SectionBuf::Viewed { .. } => Vec::new(),
+        }
+    }
+
     /// Consumes the buffer into an owned vector (copying if viewed).
     pub fn into_vec(self) -> Vec<T> {
         match self {

@@ -17,17 +17,18 @@
 //!
 //! * **Readers never block on the writer.** The current generation lives
 //!   behind an [`RwLock`]`<Arc<Generation>>` held only long enough to
-//!   clone the `Arc`; the writer's apply/rotate work happens entirely on
-//!   its own copy, and publishing is one pointer store. A request that
+//!   clone the `Arc`; the writer builds the next generation beside the
+//!   current one ([`TrussIndex::applied`] reads it, never mutates it),
+//!   and publishing is one pointer store. A request that
 //!   started on generation *g* finishes on *g* even if *g+1* lands
 //!   mid-answer — which is why its reply's (generation, checksum) pair
 //!   is always internally consistent.
 //! * **One writer.** All [`Request::Update`] frames funnel through one
 //!   mpsc channel into a single thread, which applies the batch through
-//!   the incremental re-peel ([`TrussIndex::apply`]), persists the new
-//!   snapshot (write-new + rename, the `truss convert` pattern — a crash
-//!   between the two leaves the old file untouched), and only then
-//!   publishes the new generation.
+//!   the incremental re-peel ([`TrussIndex::applied_recycling`]),
+//!   persists the new snapshot (write-new + rename, the `truss convert`
+//!   pattern — a crash between the two leaves the old file untouched),
+//!   and only then publishes the new generation.
 //! * **Generation identity.** Generation 0 is the snapshot the server
 //!   started from; each applied batch increments it. The checksum is the
 //!   v2 container checksum of that generation's byte image — exactly
@@ -337,6 +338,7 @@ impl Server {
                         .map(|w| w.compact_bytes)
                         .unwrap_or(WalConfig::DEFAULT_COMPACT_BYTES),
                 }),
+                retired: None,
             };
             handles.push(
                 std::thread::Builder::new()
@@ -432,6 +434,8 @@ fn rotate(index: &TrussIndex, path: &Path) -> Result<u64, String> {
 struct WriterCtx {
     snapshot_path: Option<PathBuf>,
     wal: Option<WalState>,
+    /// The generation the last publish replaced; see [`take_spare`].
+    retired: Option<Arc<Generation>>,
 }
 
 struct WalState {
@@ -470,17 +474,31 @@ fn writer_loop(rx: mpsc::Receiver<WriteJob>, shared: Arc<Shared>, mut ctx: Write
 }
 
 fn dispatch(batch: Vec<WriteJob>, shared: &Shared, ctx: &mut WriterCtx) {
+    let path = ctx.snapshot_path.as_deref();
     match &mut ctx.wal {
-        Some(wal) => commit_batch(batch, shared, wal, ctx.snapshot_path.as_deref()),
+        Some(wal) => commit_batch(batch, shared, wal, path, &mut ctx.retired),
         None => {
             for job in batch {
-                apply_job(job, shared, ctx.snapshot_path.as_deref());
+                apply_job(job, shared, path, &mut ctx.retired);
             }
         }
     }
 }
 
-fn apply_job(job: WriteJob, shared: &Shared, path: Option<&Path>) {
+/// The retired generation's index, once no reader holds it any more: the
+/// next successor is written into its allocations, so a warm writer
+/// neither faults in fresh pages nor hands freed ones back to the OS.
+fn take_spare(retired: &mut Option<Arc<Generation>>) -> Option<TrussIndex> {
+    let gen = Arc::try_unwrap(retired.take()?).ok()?;
+    Arc::try_unwrap(gen.index).ok()
+}
+
+fn apply_job(
+    job: WriteJob,
+    shared: &Shared,
+    path: Option<&Path>,
+    retired: &mut Option<Arc<Generation>>,
+) {
     let cur = shared.current();
     if job.base_generation != crate::proto::GENERATION_ANY && job.base_generation != cur.number {
         let _ = job.reply.send(Err(ServeError::new(
@@ -492,10 +510,9 @@ fn apply_job(job: WriteJob, shared: &Shared, path: Option<&Path>) {
         )));
         return;
     }
-    // The writer works on its own copy; readers keep serving `cur`
-    // untouched the whole time.
-    let mut next = (*cur.index).clone();
-    let stats = next.apply(&job.delta);
+    // The successor is written straight from `cur`, which readers keep
+    // serving untouched the whole time.
+    let (next, stats) = cur.index.applied_recycling(&job.delta, take_spare(retired));
     let (checksum, rotated) = match path {
         Some(path) => match rotate(&next, path) {
             Ok(c) => (c, true),
@@ -525,6 +542,7 @@ fn apply_job(job: WriteJob, shared: &Shared, path: Option<&Path>) {
         number,
         checksum,
     });
+    *retired = Some(cur);
     let summary = UpdateSummary {
         inserted: stats.inserted as u64,
         removed: stats.removed as u64,
@@ -557,7 +575,7 @@ struct PendingAck {
     checksum: u64,
 }
 
-/// The WAL write path: per job append-to-log + apply-to-clone, then ONE
+/// The WAL write path: per job append-to-log + apply-to-successor, then ONE
 /// fsync for the whole batch, then ack every job — the group commit.
 /// Nothing is acknowledged before its log record is durable, and the
 /// new generation is published only after the fsync, so a reader can
@@ -567,8 +585,10 @@ fn commit_batch(
     shared: &Shared,
     wal: &mut WalState,
     snapshot_path: Option<&Path>,
+    retired: &mut Option<Arc<Generation>>,
 ) {
     let cur = shared.current();
+    let mut spare = take_spare(retired);
     let mut work: Option<TrussIndex> = None;
     let mut number = cur.number;
     let mut pending: Vec<PendingAck> = Vec::new();
@@ -600,8 +620,12 @@ fn commit_batch(
             )));
             continue; // writer is now poisoned; remaining jobs fail fast
         }
-        let index = work.get_or_insert_with(|| (*cur.index).clone());
-        let stats = index.apply(&job.delta);
+        let src = work.as_ref().unwrap_or(&cur.index);
+        let (next, stats) = src.applied_recycling(&job.delta, spare.take());
+        // The batch's previous working index is never served: the next
+        // job writes into it.
+        spare = work.replace(next);
+        let index = work.as_ref().expect("just applied");
         // Sink writes cannot fail; this is a pure hash pass.
         let checksum =
             index_checksum(index).expect("checksum of an in-memory byte image cannot fail");
@@ -658,6 +682,7 @@ fn commit_batch(
         number,
         checksum,
     });
+    *retired = Some(cur);
     for p in pending {
         let _ = p.reply.send(Ok((p.summary, p.number, p.checksum)));
     }

@@ -1,8 +1,7 @@
 //! End-to-end tests of the `truss` CLI binary.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::Command;
-use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 use truss_decomposition::engine::AlgorithmKind;
 
 fn truss_bin() -> Command {
@@ -38,18 +37,31 @@ fn json_f64(json: &str, field: &str) -> f64 {
         .unwrap_or_else(|_| panic!("{field} not a number in {json}"))
 }
 
-fn temp_file(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("truss-cli-test-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    dir.join(name)
+/// A per-test scratch directory, removed when dropped — on a panic too,
+/// so no run leaves one behind.
+struct TempDir(PathBuf);
+
+impl TempDir {
+    fn new(test: &str) -> TempDir {
+        let dir = std::env::temp_dir().join(format!("truss-cli-{test}-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        TempDir(dir)
+    }
+
+    fn join(&self, name: impl AsRef<Path>) -> PathBuf {
+        self.0.join(name)
+    }
 }
 
-/// Writes the Figure 2 graph as a SNAP file and returns the path. Every
-/// call gets its own file: tests run in parallel, and rewriting a shared
-/// one would truncate it under another test's still-running child.
-fn figure2_file() -> PathBuf {
-    static NEXT: AtomicUsize = AtomicUsize::new(0);
-    let path = temp_file(&format!("figure2-{}.snap", NEXT.fetch_add(1, Relaxed)));
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+/// Writes the Figure 2 graph as a SNAP file in `dir` and returns the path.
+fn figure2_file(dir: &TempDir) -> PathBuf {
+    let path = dir.join("figure2.snap");
     let g = truss_decomposition::graph::generators::figure2_graph();
     let f = std::fs::File::create(&path).unwrap();
     truss_decomposition::graph::io::write_snap(&g, f).unwrap();
@@ -58,7 +70,8 @@ fn figure2_file() -> PathBuf {
 
 #[test]
 fn decompose_outputs_tsv_with_trussness() {
-    let input = figure2_file();
+    let dir = TempDir::new("decompose_outputs_tsv_with_trussness");
+    let input = figure2_file(&dir);
     // Every registered engine, not a hand-picked subset: the CLI dispatches
     // through the registry, so each kind's canonical name must work.
     for kind in AlgorithmKind::all() {
@@ -90,7 +103,8 @@ fn decompose_outputs_tsv_with_trussness() {
 
 #[test]
 fn decompose_report_json_appends_engine_report() {
-    let input = figure2_file();
+    let dir = TempDir::new("decompose_report_json_appends_engine_report");
+    let input = figure2_file(&dir);
     for kind in AlgorithmKind::all() {
         let algo = kind.name();
         let out = truss_bin()
@@ -232,7 +246,8 @@ fn decompose_report_json_appends_engine_report() {
 
 #[test]
 fn parallel_engine_accepts_thread_ladder() {
-    let input = figure2_file();
+    let dir = TempDir::new("parallel_engine_accepts_thread_ladder");
+    let input = figure2_file(&dir);
     let mut reference: Option<String> = None;
     for threads in ["1", "2", "4"] {
         let out = truss_bin()
@@ -263,7 +278,8 @@ fn parallel_engine_accepts_thread_ladder() {
 
 #[test]
 fn decompose_flag_validation() {
-    let input = figure2_file();
+    let dir = TempDir::new("decompose_flag_validation");
+    let input = figure2_file(&dir);
     let out = truss_bin()
         .args(["decompose", "--algo", "frobnicate", input.to_str().unwrap()])
         .output()
@@ -292,8 +308,9 @@ fn decompose_flag_validation() {
 
 #[test]
 fn index_build_query_update_round_trip() {
-    let input = figure2_file();
-    let idx = temp_file("figure2.tix");
+    let dir = TempDir::new("index_build_query_update_round_trip");
+    let input = figure2_file(&dir);
+    let idx = dir.join("figure2.tix");
 
     // Build with an explicit engine choice.
     let out = truss_bin()
@@ -372,9 +389,9 @@ fn index_build_query_update_round_trip() {
     assert_eq!(String::from_utf8(out.stdout).unwrap().trim(), "5");
 
     // Apply a delta: drop a K5 edge, insert (e, h).
-    let delta = temp_file("figure2.delta");
+    let delta = dir.join("figure2.delta");
     std::fs::write(&delta, "# test delta\n- 0 1\n+ 4 7\n").unwrap();
-    let idx2 = temp_file("figure2-updated.tix");
+    let idx2 = dir.join("figure2-updated.tix");
     let out = truss_bin()
         .args([
             "index",
@@ -442,8 +459,9 @@ fn index_build_query_update_round_trip() {
 
 #[test]
 fn index_flag_validation() {
-    let input = figure2_file();
-    let idx = temp_file("figure2-validation.tix");
+    let dir = TempDir::new("index_flag_validation");
+    let input = figure2_file(&dir);
+    let idx = dir.join("figure2-validation.tix");
 
     // Missing --out.
     let out = truss_bin()
@@ -524,7 +542,8 @@ fn index_flag_validation() {
 
 #[test]
 fn ktruss_extracts_subgraph() {
-    let input = figure2_file();
+    let dir = TempDir::new("ktruss_extracts_subgraph");
+    let input = figure2_file(&dir);
     let out = truss_bin()
         .args(["ktruss", "--k", "5", input.to_str().unwrap()])
         .output()
@@ -536,7 +555,8 @@ fn ktruss_extracts_subgraph() {
 
 #[test]
 fn topt_reports_top_classes() {
-    let input = figure2_file();
+    let dir = TempDir::new("topt_reports_top_classes");
+    let input = figure2_file(&dir);
     let out = truss_bin()
         .args(["topt", "--t", "2", input.to_str().unwrap()])
         .output()
@@ -549,7 +569,8 @@ fn topt_reports_top_classes() {
 
 #[test]
 fn generate_then_stats_round_trip() {
-    let path = temp_file("gen.snap");
+    let dir = TempDir::new("generate_then_stats_round_trip");
+    let path = dir.join("gen.snap");
     let out = truss_bin()
         .args([
             "generate",
@@ -576,7 +597,8 @@ fn generate_then_stats_round_trip() {
 
 #[test]
 fn binary_format_by_extension() {
-    let path = temp_file("gen.bin");
+    let dir = TempDir::new("binary_format_by_extension");
+    let path = dir.join("gen.bin");
     assert!(truss_bin()
         .args([
             "generate",
@@ -599,6 +621,7 @@ fn binary_format_by_extension() {
 
 #[test]
 fn errors_are_reported() {
+    let dir = TempDir::new("errors_are_reported");
     // Unknown subcommand.
     let out = truss_bin().args(["frobnicate"]).output().unwrap();
     assert!(!out.status.success());
@@ -614,7 +637,7 @@ fn errors_are_reported() {
     let stderr = String::from_utf8(out.stderr).unwrap();
     assert!(stderr.contains("error"), "{stderr}");
     // Bad k.
-    let input = figure2_file();
+    let input = figure2_file(&dir);
     let out = truss_bin()
         .args(["ktruss", "--k", "1", input.to_str().unwrap()])
         .output()
@@ -627,9 +650,8 @@ fn errors_are_reported() {
 /// the CI recovery-smoke job parse).
 #[test]
 fn status_report_json_carries_durability_metrics() {
-    let dir = std::env::temp_dir().join(format!("truss-cli-status-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let input = figure2_file();
+    let dir = TempDir::new("status_report_json_carries_durability_metrics");
+    let input = figure2_file(&dir);
     let idx = dir.join("s.tix");
     assert!(truss_bin()
         .args([
@@ -735,7 +757,6 @@ fn status_report_json_carries_durability_metrics() {
         .args(["query", "--remote", &addr, "--query", "shutdown"])
         .output();
     let _ = daemon.wait();
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Reads the magic + version byte of a file, the way the auto-detecting
@@ -747,8 +768,7 @@ fn file_magic(path: &std::path::Path) -> (Vec<u8>, u8) {
 
 #[test]
 fn convert_round_trips_graph_bit_identically() {
-    let dir = std::env::temp_dir().join(format!("truss-cli-convert-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = TempDir::new("convert_round_trips_graph_bit_identically");
     let v1 = dir.join("g.bin");
     let v2 = dir.join("g.gr2");
     let v1_back = dir.join("g2.bin");
@@ -824,14 +844,12 @@ fn convert_round_trips_graph_bit_identically() {
         .output()
         .unwrap();
     assert!(!out.status.success());
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
 fn index_build_writes_v2_by_default_and_v1_on_request() {
-    let input = figure2_file();
-    let dir = std::env::temp_dir().join(format!("truss-cli-ifmt-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = TempDir::new("index_build_writes_v2_by_default_and_v1_on_request");
+    let input = figure2_file(&dir);
     let v2 = dir.join("f.tix");
     let v1 = dir.join("f.v1.tix");
 
@@ -868,14 +886,12 @@ fn index_build_writes_v2_by_default_and_v1_on_request() {
         assert!(o1.status.success() && o2.status.success());
         assert_eq!(o1.stdout, o2.stdout, "{q:?}");
     }
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
 fn index_update_rewrites_in_the_format_it_read() {
-    let input = figure2_file();
-    let dir = std::env::temp_dir().join(format!("truss-cli-ufmt-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = TempDir::new("index_update_rewrites_in_the_format_it_read");
+    let input = figure2_file(&dir);
     let delta = dir.join("d.delta");
     std::fs::write(&delta, "+ 4 7\n").unwrap();
 
@@ -961,5 +977,4 @@ fn index_update_rewrites_in_the_format_it_read() {
         .unwrap();
     assert!(out.status.success(), "{out:?}");
     assert_eq!(file_magic(&idx).1, 2, "--format v2 must migrate");
-    std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -169,20 +169,23 @@ proptest! {
     /// byte image a from-scratch build of its edge set writes — graph
     /// sections, trussness, level order, level counts, vertex trussness
     /// and the container checksum — and the source index is left as it
-    /// was.
+    /// was. Writing into a retired index's allocations changes nothing.
     #[test]
     fn applied_deltas_match_rebuild_byte_for_byte(
         g in arb_graph(30, 200),
         rounds in prop::collection::vec(arb_round(40), 1..7),
     ) {
         let mut index = TrussIndex::from_decompose(g);
+        let mut retired: Option<TrussIndex> = None;
         let mut n = index.num_vertices();
         for (i, (ops, extremes)) in rounds.iter().enumerate() {
             let delta = round_delta(&index, ops, *extremes);
             let before = image(&index);
-            let mut next = index.clone();
-            let stats = next.apply(&delta);
+            let (next, stats) = index.applied(&delta);
             prop_assert_eq!(image(&index), before.clone(), "round {}: source changed", i);
+            let (recycled, again) = index.applied_recycling(&delta, retired.take());
+            prop_assert_eq!(again, stats);
+            prop_assert!(image(&recycled) == image(&next), "round {}: recycled", i);
             n = delta.insert.iter().map(|e| e.v as usize + 1).fold(n, usize::max);
             prop_assert_eq!(next.num_vertices(), n, "round {}: vertex ids never shrink", i);
             let expected = rebuilt_image(next.graph().edges(), n);
@@ -190,7 +193,14 @@ proptest! {
             if stats.applied() == 0 {
                 prop_assert!(image(&next) == before, "round {}: a no-op changed the image", i);
             }
-            index = next;
+            // A mixed batch is its removals, then its insertions.
+            let (removed, r) = index.applied(&EdgeDelta::removing(delta.remove.iter().copied()));
+            let (inserted, a) = removed.applied(&EdgeDelta::inserting(delta.insert.iter().copied()));
+            prop_assert!(image(&inserted) == image(&next), "round {}: two phases differ", i);
+            let (seeded, settled, lowered) =
+                (r.seeded + a.seeded, r.settled + a.settled, r.lowered + a.lowered);
+            prop_assert_eq!((stats.seeded, stats.settled, stats.lowered), (seeded, settled, lowered));
+            retired = Some(std::mem::replace(&mut index, next));
         }
     }
 }
