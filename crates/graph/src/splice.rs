@@ -65,12 +65,6 @@ impl EdgeIdMap {
         &self.inserted
     }
 
-    /// True when every kept edge keeps its id (all changes sit at the
-    /// tail of the edge order).
-    pub fn is_identity(&self) -> bool {
-        self.table.is_none()
-    }
-
     /// The new id of kept edge `old` (unspecified for removed edges).
     #[inline]
     pub fn map(&self, old: EdgeId) -> EdgeId {
@@ -369,12 +363,12 @@ mod tests {
         let g = gnm(20, 60, 1);
         let insert = [Edge::new(20, 21), Edge::new(20, 22), Edge::new(21, 22)];
         let (s, map) = g.splice(&[], &insert, CsrBuffers::default());
-        assert!(map.is_identity());
+        assert!(map.table.is_none());
         assert_eq!(s.num_vertices(), 23);
         check(&g, &[], &insert, "tail");
-        // Removing them again is the identity too.
+        // Removing them again keeps every id too.
         let (back, map) = s.splice(&insert, &[], CsrBuffers::from(g));
-        assert!(map.is_identity());
+        assert!(map.table.is_none());
         assert_eq!(back.num_vertices(), 23, "vertex ids never shrink");
     }
 

@@ -277,8 +277,12 @@ impl Server {
                     let scan = scan_wal(&wal_cfg.path).map_err(wal_io)?;
                     let recovery = plan_recovery(&scan, checksum).map_err(wal_io)?;
                     truncate_torn_tail(&wal_cfg.path, &scan)?;
+                    // Each replayed generation is written into the one
+                    // before the last, as the writer does.
+                    let mut retired = None;
                     for (_, delta) in &recovery.replay {
-                        index.apply(delta);
+                        let (next, _) = index.applied_recycling(delta, retired.take());
+                        retired = Some(std::mem::replace(&mut index, next));
                     }
                     durability.recovery_records_replayed = recovery.replay.len() as u64;
                     durability.recovery_bytes_truncated = recovery.bytes_truncated;
