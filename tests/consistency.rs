@@ -449,8 +449,9 @@ fn snapshot_views_answer_queries_identically_across_suite() {
 }
 
 /// A mapped index stays fully functional under mutation: `apply`
-/// detaches the views copy-on-write and the updated index matches a
-/// from-scratch decomposition (and can be re-saved in either format).
+/// writes an owned successor from the views, and the updated index
+/// matches a from-scratch decomposition (and can be re-saved in either
+/// format).
 #[test]
 fn mapped_index_survives_updates_via_copy_on_write() {
     use truss_decomposition::prelude::EdgeDelta;
