@@ -396,3 +396,58 @@ pub fn sharded_supports(
 fn push_inc(incs: &mut SpillBuckets<IncRec>, plan: &ShardPlan, e: EdgeId) -> Result<()> {
     incs.push(plan.edge_shard(e), IncRec { e, c: 1 })
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use truss_graph::generators::{figure2_graph, gnm, planted_clique, rmat, RmatConfig};
+
+    /// Runs the three support passes over `shards` forced shards on
+    /// `threads` workers and returns the supports left in the state file.
+    fn supports(g: &CsrGraph, shards: usize, threads: usize) -> (Vec<u32>, SupportStats) {
+        let scratch = ScratchDir::new().unwrap();
+        let tracker = IoTracker::new();
+        let plan = ShardPlan::new(g, shards);
+        let mut window = Window::new(1 << 20, g.is_mapped());
+        let ranks = truss_triangle::list::ranks(g);
+        let sup = StateFile::create(&scratch, "sup", g.num_edges(), tracker.clone()).unwrap();
+        let mut min_sup = vec![u32::MAX; plan.num_shards()];
+        let pool = ThreadPool::unclamped(threads);
+        let drain = SpillDrain::spawn(tracker.clone());
+        let stats = sharded_supports(
+            g,
+            &plan,
+            &ranks,
+            &mut window,
+            &scratch,
+            &tracker,
+            64,
+            &sup,
+            &mut min_sup,
+            &pool,
+            &drain,
+        )
+        .unwrap();
+        (sup.read_all().unwrap(), stats)
+    }
+
+    #[test]
+    fn sharded_supports_match_edge_supports() {
+        let graphs = [
+            ("figure 2", figure2_graph()),
+            ("gnm + K_12", planted_clique(&gnm(600, 4000, 0x5a9d), 12, 3)),
+            ("rmat", rmat(RmatConfig::skewed(9, 4000), 0x0c0c)),
+        ];
+        for (name, g) in &graphs {
+            let expect = truss_triangle::edge_supports(g);
+            let triangles = expect.iter().map(|&s| s as u64).sum::<u64>() / 3;
+            for threads in [1usize, 2, 4] {
+                for shards in [1usize, 3, 7] {
+                    let (got, stats) = supports(g, shards, threads);
+                    assert_eq!(got, expect, "{name}: threads={threads} shards={shards}");
+                    assert_eq!(stats.triangles, triangles, "{name}");
+                }
+            }
+        }
+    }
+}
