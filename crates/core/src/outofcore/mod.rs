@@ -36,6 +36,7 @@
 //! determinism tests get real multi-worker interleavings on small
 //! machines.
 
+pub mod filter;
 pub mod peel;
 pub mod spill;
 pub mod state;
@@ -316,6 +317,9 @@ pub fn outofcore_decompose_in(
     let sup = StateFile::create(scratch, "sup", m, tracker.clone())?;
     let mut min_sup = vec![u32::MAX; s_count];
     let drain = SpillDrain::spawn(tracker.clone());
+    // The edge filter takes its share of the heap half, like the spill
+    // buffers: at most an eighth of the budget.
+    let filter_bytes = filter::EdgeFilter::bytes_for(m, budget);
 
     let t0 = Instant::now();
     let ranks = truss_triangle::list::ranks(g);
@@ -327,6 +331,7 @@ pub fn outofcore_decompose_in(
         scratch,
         &tracker,
         buf_cap,
+        filter_bytes,
         &sup,
         &mut min_sup,
         &pool,

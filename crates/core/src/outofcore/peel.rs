@@ -330,7 +330,7 @@ pub fn external_peel(
                         // a random foreign read served by `pread` so it
                         // never faults mapping pages in.
                         let (nb, ib): (&[u32], &[u32]) =
-                            if g.copy_row_nofault(edge.v, &mut fnb, &mut fib) {
+                            if g.copy_rows_nofault(edge.v, edge.v + 1, &mut fnb, &mut fib) {
                                 tracker.record_read((std::mem::size_of_val(&fnb[..]) * 2) as u64);
                                 (&fnb, &fib)
                             } else {

@@ -48,16 +48,16 @@ pub trait Spillable: FixedRecord {
 }
 
 /// A boundary-triangle probe: shard `vertex_shard(v)` must check whether
-/// `w` (identified by its degree-order rank) is a forward neighbor of
-/// `v`, and if so count the triangle closed by `e_uv` and `e_uw`.
+/// `w` is a neighbor of `v`, and if so count the triangle closed by
+/// `e_uv` and `e_uw`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ProbeRec {
     /// The middle vertex of the candidate triangle (owned by the target
     /// shard).
     pub v: u32,
-    /// Rank of the apex candidate `w` in the degree order — forward lists
-    /// are rank-sorted, so membership is one binary search.
-    pub rank_w: u32,
+    /// The apex candidate — CSR rows are sorted, so membership is one
+    /// binary search in `v`'s row.
+    pub w: u32,
     /// Edge id of `(u, v)`.
     pub e_uv: u32,
     /// Edge id of `(u, w)`.
@@ -69,7 +69,7 @@ impl FixedRecord for ProbeRec {
 
     fn encode(&self, buf: &mut [u8]) {
         buf[0..4].copy_from_slice(&self.v.to_le_bytes());
-        buf[4..8].copy_from_slice(&self.rank_w.to_le_bytes());
+        buf[4..8].copy_from_slice(&self.w.to_le_bytes());
         buf[8..12].copy_from_slice(&self.e_uv.to_le_bytes());
         buf[12..16].copy_from_slice(&self.e_uw.to_le_bytes());
     }
@@ -78,14 +78,14 @@ impl FixedRecord for ProbeRec {
         let g = |r: std::ops::Range<usize>| u32::from_le_bytes(buf[r].try_into().unwrap());
         ProbeRec {
             v: g(0..4),
-            rank_w: g(4..8),
+            w: g(4..8),
             e_uv: g(8..12),
             e_uw: g(12..16),
         }
     }
 
     fn sort_key(&self) -> u128 {
-        ((self.v as u128) << 32) | self.rank_w as u128
+        ((self.v as u128) << 32) | self.w as u128
     }
 }
 
@@ -492,7 +492,7 @@ mod tests {
     fn round_trip_both_record_types() {
         let p = ProbeRec {
             v: 7,
-            rank_w: 1000,
+            w: 1000,
             e_uv: 3,
             e_uw: 9,
         };

@@ -4,25 +4,33 @@
 //! `ForwardAdjacency` (`truss_triangle::list`)
 //! (`12m` bytes + ranks). Out of core, the oriented adjacency is built
 //! *one vertex-range shard at a time* ([`ShardFwd`]): a shard's forward
-//! lists fit the budget, triangles whose first two vertices share a
-//! shard are counted in place, and triangles whose middle vertex lives
-//! elsewhere become [`ProbeRec`]s spilled to the owning shard's bucket.
-//! A second pass over each shard replays its probes (one binary search
-//! per probe — forward lists are rank-sorted), and a third pass
-//! aggregates the spilled support increments into the disk-resident
-//! [`StateFile`], shard chunk by shard chunk.
+//! lists fit the budget, and triangles whose first two vertices share a
+//! shard are counted in place. A wedge `(u; v, w)` whose middle vertex
+//! `v` lives elsewhere can only be closed by `v`'s shard, and almost
+//! every wedge is such a wedge (on a G(n,m)-like graph `v` shares `u`'s
+//! shard with probability ≈ 1/S), while almost none of them closes. So
+//! an [`EdgeFilter`] over every edge screens each one first: only a
+//! wedge whose closing edge `(v, w)` may exist becomes a [`ProbeRec`]
+//! spilled to `v`'s shard. The filter has no false negatives, so
+//! supports stay exact at any filter size.
 //!
 //! Pass structure (S shards):
+//!   0. one sequential scan of the edges section builds the filter
+//!      (about 10 bits per edge, at most an eighth of the budget);
 //!   1. per *source* shard: build `ShardFwd`, intersect in-shard pairs,
-//!      spill boundary probes — `O(m^{1.5})` work, `O(scan(probes))` I/O;
-//!   2. per *target* shard: rebuild `ShardFwd`, resolve probes;
+//!      spill the screened boundary probes — `O(m^{1.5})` work,
+//!      `O(scan(P))` I/O for `P ≈ 3·triangles + FPR·wedges` probes;
+//!   2. per *target* shard: resolve each probe with one binary search in
+//!      `v`'s sorted CSR row (no second `ShardFwd` build: `w` ranks after
+//!      `v` by construction, so `w ∈ N(v)` is the whole test);
 //!   3. per *edge* shard: fold increment buckets into the support chunk.
 //!
-//! Every pass touches graph sections through the [`Window`] layer, so
+//! Passes 0 and 1 touch graph sections through the [`Window`] layer, so
 //! resident bytes stay within the engine budget even though the whole
-//! snapshot is mapped.
+//! snapshot is mapped. Pass 2 copies each shard's rows out with
+//! positioned reads instead and maps nothing.
 //!
-//! All three passes are shard-parallel: shards are independent units of
+//! Passes 1–3 are shard-parallel: shards are independent units of
 //! work (a shard's forward lists, probes and support chunk touch no
 //! other shard's state), so workers pull shard indices from a shared
 //! cursor. Each worker gets its own sub-accountant from
@@ -33,6 +41,7 @@
 //! background [`SpillDrain`], overlapping spill writes with triangle
 //! counting.
 
+use super::filter::EdgeFilter;
 use super::spill::{IncRec, ProbeRec, SpillBuckets, SpillDrain};
 use super::state::StateFile;
 use super::ShardPlan;
@@ -141,11 +150,12 @@ pub struct SupportStats {
     pub spill_bytes_read: u64,
 }
 
-/// Runs the three sharded passes, leaving exact supports in `sup` (one
-/// `u32` per edge id) and each shard's minimum live support in
-/// `min_sup`. `buf_cap` bounds every spill bucket's in-memory buffer (in
-/// records). Shards are scheduled over `pool`'s workers; spill appends
-/// overlap computation via `drain`.
+/// Builds a `filter_bytes` edge filter, then runs the three sharded
+/// passes, leaving exact supports in `sup` (one `u32` per edge id) and
+/// each shard's minimum live support in `min_sup`. `buf_cap` bounds
+/// every spill bucket's in-memory buffer (in records). Shards are
+/// scheduled over `pool`'s workers; spill appends overlap computation
+/// via `drain`.
 #[allow(clippy::too_many_arguments)]
 pub fn sharded_supports(
     g: &CsrGraph,
@@ -155,6 +165,7 @@ pub fn sharded_supports(
     scratch: &ScratchDir,
     tracker: &IoTracker,
     buf_cap: usize,
+    filter_bytes: usize,
     sup: &StateFile,
     min_sup: &mut [u32],
     pool: &ThreadPool,
@@ -162,6 +173,7 @@ pub fn sharded_supports(
 ) -> Result<SupportStats> {
     let s_count = plan.num_shards();
     let workers = pool.workers();
+    let offsets = g.offsets_section().as_slice();
     let (all_nbrs, all_eids) = super::row_slices(g, 0, g.num_vertices() as u32);
     let mut stats = SupportStats::default();
     // One bucket set per worker: pushes never contend, and the consuming
@@ -191,14 +203,18 @@ pub fn sharded_supports(
             ))
         })
         .collect();
+    // Pass 0: the edge filter, built before the window is split so the
+    // scan may use the whole window budget.
+    let filter = EdgeFilter::build(g.edges(), filter_bytes, window, tracker);
+
     let subs: Vec<Mutex<Window>> = window
         .partition(workers)
         .into_iter()
         .map(Mutex::new)
         .collect();
 
-    // Pass 1: in-shard triangles + boundary probes, workers pulling
-    // source shards from a shared cursor.
+    // Pass 1: in-shard triangles + screened boundary probes, workers
+    // pulling source shards from a shared cursor.
     tracker.record_scan();
     let cursor = AtomicUsize::new(0);
     let pass1 = pool.run(|w| -> Result<(u64, u64)> {
@@ -240,17 +256,21 @@ pub fn sharded_supports(
                             push_inc(&mut incs, plan, e_vw)?;
                         }
                     } else {
-                        // Foreign middle vertex: ship the candidate apexes
-                        // (everything after v in u's rank-sorted list) to
-                        // v's shard.
+                        // Foreign middle vertex: ship to v's shard the
+                        // candidate apexes (everything after v in u's
+                        // rank-sorted list) whose edge to v may exist.
                         let target = plan.vertex_shard(v);
                         for j in i + 1..lu.len() {
+                            let w = lu.verts[j];
+                            if !filter.may_contain(v, w) {
+                                continue;
+                            }
                             probe_count += 1;
                             probes.push(
                                 target,
                                 ProbeRec {
                                     v,
-                                    rank_w: lu.ranks[j],
+                                    w,
                                     e_uv,
                                     e_uw: lu.edge_ids[j],
                                 },
@@ -285,15 +305,20 @@ pub fn sharded_supports(
         .map(|p| p.lock().expect("probe set").spilled_records())
         .sum();
 
-    // Pass 2: resolve each shard's probes against its rebuilt forward
-    // lists. A probe is a triangle iff rank_w appears in fwd(v).
+    drop(filter);
+
+    // Pass 2: resolve each shard's probes against its CSR rows. A probe
+    // is a triangle iff w appears in v's sorted neighbor row. The rows
+    // are copied out with positioned reads rather than faulted in: the
+    // binary searches land all over the shard, and each demand fault maps
+    // a whole page-cache folio around it, several times the rows' bytes.
     tracker.record_scan();
     let cursor = AtomicUsize::new(0);
     let pass2 = pool.run(|w| -> Result<u64> {
         let mut incs = inc_sets[w].lock().expect("inc set");
-        let mut win = subs[w].lock().expect("sub-window");
         let mut triangles = 0u64;
         let mut resolved: Vec<(u32, u32, u32)> = Vec::new();
+        let (mut nbr_buf, mut eid_buf) = (Vec::new(), Vec::new());
         loop {
             let s = cursor.fetch_add(1, Ordering::Relaxed);
             if s >= s_count {
@@ -306,17 +331,19 @@ pub fn sharded_supports(
                 continue;
             }
             let (lo, hi) = plan.vertex_range(s);
-            let (nbr_rows, eid_rows) = super::row_slices(g, lo, hi);
-            win.need(nbr_rows);
-            win.need(eid_rows);
+            let (mut nbr_rows, mut eid_rows) = super::row_slices(g, lo, hi);
             tracker.record_read((std::mem::size_of_val(nbr_rows) * 2) as u64);
-            let fwd = ShardFwd::build(g, vertex_ranks, lo, hi);
+            if g.copy_rows_nofault(lo, hi, &mut nbr_buf, &mut eid_buf) {
+                (nbr_rows, eid_rows) = (&nbr_buf, &eid_buf);
+            }
+            let base = offsets[lo as usize] as usize;
             resolved.clear();
             for set in &probe_sets {
                 set.lock().expect("probe set").drain(s, |p| {
-                    let lv = fwd.list(p.v);
-                    if let Ok(j) = lv.ranks.binary_search(&p.rank_w) {
-                        resolved.push((p.e_uv, p.e_uw, lv.edge_ids[j]));
+                    let a = offsets[p.v as usize] as usize - base;
+                    let b = offsets[p.v as usize + 1] as usize - base;
+                    if let Ok(j) = nbr_rows[a..b].binary_search(&p.w) {
+                        resolved.push((p.e_uv, p.e_uw, eid_rows[a + j]));
                     }
                 })?;
             }
@@ -326,10 +353,6 @@ pub fn sharded_supports(
                 push_inc(&mut incs, plan, e_uw)?;
                 push_inc(&mut incs, plan, e_vw)?;
             }
-            win.release(nbr_rows);
-            win.release(eid_rows);
-            win.release_section(all_nbrs);
-            win.release_section(all_eids);
         }
         Ok(triangles)
     });
@@ -400,11 +423,19 @@ fn push_inc(incs: &mut SpillBuckets<IncRec>, plan: &ShardPlan, e: EdgeId) -> Res
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::outofcore::{outofcore_decompose, OutOfCoreConfig};
     use truss_graph::generators::{figure2_graph, gnm, planted_clique, rmat, RmatConfig};
+    use truss_storage::IoConfig;
 
-    /// Runs the three support passes over `shards` forced shards on
-    /// `threads` workers and returns the supports left in the state file.
-    fn supports(g: &CsrGraph, shards: usize, threads: usize) -> (Vec<u32>, SupportStats) {
+    /// Runs the support passes over `shards` forced shards on `threads`
+    /// workers with a `filter_bytes` edge filter and returns the supports
+    /// left in the state file.
+    fn supports(
+        g: &CsrGraph,
+        shards: usize,
+        threads: usize,
+        filter_bytes: usize,
+    ) -> (Vec<u32>, SupportStats) {
         let scratch = ScratchDir::new().unwrap();
         let tracker = IoTracker::new();
         let plan = ShardPlan::new(g, shards);
@@ -422,6 +453,7 @@ mod tests {
             &scratch,
             &tracker,
             64,
+            filter_bytes,
             &sup,
             &mut min_sup,
             &pool,
@@ -429,6 +461,27 @@ mod tests {
         )
         .unwrap();
         (sup.read_all().unwrap(), stats)
+    }
+
+    /// Wedges `(u; v, w)` of the oriented adjacency whose middle vertex
+    /// `v` lies outside `u`'s shard — what pass 1 probed per wedge before
+    /// the filter screened them.
+    fn foreign_middle_wedges(g: &CsrGraph, plan: &ShardPlan) -> u64 {
+        let ranks = truss_triangle::list::ranks(g);
+        let mut wedges = 0u64;
+        for s in 0..plan.num_shards() {
+            let (lo, hi) = plan.vertex_range(s);
+            let fwd = ShardFwd::build(g, &ranks, lo, hi);
+            for u in lo..hi {
+                let lu = fwd.list(u);
+                for (i, &v) in lu.verts.iter().enumerate() {
+                    if plan.vertex_shard(v) != s {
+                        wedges += (lu.len() - i - 1) as u64;
+                    }
+                }
+            }
+        }
+        wedges
     }
 
     #[test]
@@ -441,13 +494,79 @@ mod tests {
         for (name, g) in &graphs {
             let expect = truss_triangle::edge_supports(g);
             let triangles = expect.iter().map(|&s| s as u64).sum::<u64>() / 3;
-            for threads in [1usize, 2, 4] {
-                for shards in [1usize, 3, 7] {
-                    let (got, stats) = supports(g, shards, threads);
-                    assert_eq!(got, expect, "{name}: threads={threads} shards={shards}");
-                    assert_eq!(stats.triangles, triangles, "{name}");
+            // The engine's size for a 1 MiB budget, and the one-block
+            // minimum, which saturates and passes nearly every candidate.
+            let sized = EdgeFilter::bytes_for(g.num_edges(), 1 << 20);
+            for filter_bytes in [sized, EdgeFilter::BLOCK_BYTES] {
+                for threads in [1usize, 2, 4] {
+                    for shards in [1usize, 3, 7] {
+                        let (got, stats) = supports(g, shards, threads, filter_bytes);
+                        let at = format!(
+                            "{name}: filter={filter_bytes} threads={threads} shards={shards}"
+                        );
+                        assert_eq!(got, expect, "{at}");
+                        assert_eq!(stats.triangles, triangles, "{at}");
+                    }
                 }
             }
+        }
+    }
+
+    #[test]
+    fn mapped_snapshot_resolves_probes_from_copied_rows() {
+        // Pass 2 reads a mapped graph's rows with positioned reads
+        // instead of the mapping; the heap graphs above take the slice
+        // path, so check the copy path on a real GR2 snapshot.
+        let g = planted_clique(&gnm(600, 4000, 0x5a9d), 12, 3);
+        let dir = ScratchDir::new().unwrap();
+        let path = dir.path().join("g.gr2");
+        truss_storage::write_graph_snapshot(&g, std::fs::File::create(&path).unwrap()).unwrap();
+        let mapped =
+            truss_storage::open_graph_snapshot(&path, truss_storage::LoadMode::Auto).unwrap();
+        let expect = truss_triangle::edge_supports(&g);
+        for threads in [1usize, 2] {
+            for filter_bytes in [EdgeFilter::bytes_for(g.num_edges(), 1 << 20), 64] {
+                let (got, _) = supports(&mapped, 7, threads, filter_bytes);
+                assert_eq!(got, expect, "threads={threads} filter={filter_bytes}");
+            }
+        }
+    }
+
+    #[test]
+    fn saturated_filter_probes_every_foreign_wedge() {
+        let g = planted_clique(&gnm(600, 4000, 0x5a9d), 12, 3);
+        let wedges = foreign_middle_wedges(&g, &ShardPlan::new(&g, 7));
+        let (_, stats) = supports(&g, 7, 1, EdgeFilter::BLOCK_BYTES);
+        assert!(
+            stats.probes * 10 >= wedges * 9,
+            "{} of {wedges}",
+            stats.probes
+        );
+    }
+
+    #[test]
+    fn filter_screens_out_almost_every_foreign_wedge() {
+        // A sparse G(n,m) background with planted cliques: most wedges
+        // cross shards and almost none of them closes.
+        let mut g = gnm(6000, 48_000, 0x5c2e);
+        for (size, seed) in [(14, 1), (10, 2), (8, 3)] {
+            g = planted_clique(&g, size, seed);
+        }
+        let expect = truss_triangle::edge_supports(&g);
+        for shards in [3usize, 7, 20] {
+            let wedges = foreign_middle_wedges(&g, &ShardPlan::new(&g, shards));
+            let cfg = OutOfCoreConfig::with_shards(IoConfig::with_budget(1 << 20), shards);
+            let (_, report) = outofcore_decompose(&g, &cfg).unwrap();
+            assert!(wedges > 50_000, "shards={shards}: {wedges} wedges");
+            assert!(
+                report.support.probes * 20 <= wedges,
+                "shards={shards}: {} probes for {wedges} foreign-middle wedges",
+                report.support.probes
+            );
+            assert_eq!(
+                report.support.triangles,
+                expect.iter().map(|&s| s as u64).sum::<u64>() / 3
+            );
         }
     }
 }

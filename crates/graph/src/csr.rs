@@ -245,20 +245,22 @@ impl CsrGraph {
         &self.edge_ids.as_slice()[self.off(v as usize)..self.off(v as usize + 1)]
     }
 
-    /// Copies `v`'s neighbor row and edge-id row into the two buffers
-    /// without faulting mapped pages — a positioned read on the snapshot
-    /// file instead of a mapping access, so a random foreign-row probe
-    /// adds nothing to resident memory. Returns `false` when the graph
-    /// has no out-of-band read path (heap-resident graphs); callers fall
-    /// back to [`CsrGraph::neighbors`] / [`CsrGraph::neighbor_edge_ids`],
-    /// which cost nothing extra there.
-    pub fn copy_row_nofault(
+    /// Copies the neighbor rows and edge-id rows of vertices `lo..hi`
+    /// (concatenated, as in [`CsrGraph::neighbors`] order) into the two
+    /// buffers without faulting mapped pages — a positioned read on the
+    /// snapshot file instead of a mapping access, so a random foreign-row
+    /// probe adds nothing to resident memory. Returns `false` when the
+    /// graph has no out-of-band read path (heap-resident graphs); callers
+    /// fall back to [`CsrGraph::neighbors`] /
+    /// [`CsrGraph::neighbor_edge_ids`], which cost nothing extra there.
+    pub fn copy_rows_nofault(
         &self,
-        v: VertexId,
+        lo: VertexId,
+        hi: VertexId,
         nbrs: &mut Vec<VertexId>,
         eids: &mut Vec<EdgeId>,
     ) -> bool {
-        let (a, b) = (self.off(v as usize), self.off(v as usize + 1));
+        let (a, b) = (self.off(lo as usize), self.off(hi as usize));
         nbrs.resize(b - a, 0);
         eids.resize(b - a, 0);
         self.neighbors.read_nofault(a, nbrs) && self.edge_ids.read_nofault(a, eids)

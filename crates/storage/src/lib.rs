@@ -41,7 +41,7 @@ pub mod window;
 pub use atomic::{atomic_replace, atomic_replace_with};
 pub use index_file::{read_index_file, write_index_file, INDEX_MAGIC, INDEX_VERSION};
 pub use io_model::{IoConfig, IoStats, IoTracker};
-pub use mmap::{evict_page_cache, LoadMode, Region};
+pub use mmap::{evict_page_cache, AnonWords, LoadMode, Region};
 pub use partition::{Partition, PartitionStrategy};
 pub use record::{EdgeListFile, EdgeListWriter, EdgeRec};
 pub use scratch::ScratchDir;

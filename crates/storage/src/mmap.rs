@@ -91,7 +91,9 @@ pub(crate) mod sys {
     use std::os::raw::{c_int, c_void};
 
     pub const PROT_READ: c_int = 1;
+    pub const PROT_WRITE: c_int = 2;
     pub const MAP_PRIVATE: c_int = 2;
+    pub const MAP_ANONYMOUS: c_int = 0x20;
     pub const MAP_FAILED: *mut c_void = usize::MAX as *mut c_void;
     pub const MADV_RANDOM: c_int = 1;
     pub const MADV_WILLNEED: c_int = 3;
@@ -218,6 +220,87 @@ impl Drop for Mmap {
     }
 }
 
+/// Zero-filled `u64` words in an anonymous mapping of their own, outside
+/// the allocator: dropping them unmaps the pages at once.
+///
+/// This is for scratch of a few MiB that lives for one phase of a long
+/// run. A heap allocation that large is an `mmap` inside glibc's malloc
+/// too, but freeing it raises malloc's dynamic mmap threshold to its
+/// size, and from then on every allocation below that size comes from
+/// arenas that are not trimmed. Freeing a 2 MiB heap filter after the
+/// out-of-core support passes added megabytes to the peel's peak RSS
+/// that way. Off Linux, or when the mapping fails, the words live in an
+/// ordinary heap buffer.
+pub struct AnonWords(Words);
+
+enum Words {
+    /// A private anonymous mapping of `len` words, page-aligned.
+    Mapped {
+        ptr: std::ptr::NonNull<u64>,
+        len: usize,
+    },
+    /// The heap fallback.
+    Heap(Vec<u64>),
+}
+
+// The mapping is owned exclusively, like a `Vec`'s buffer.
+unsafe impl Send for Words {}
+unsafe impl Sync for Words {}
+
+impl AnonWords {
+    /// `len` zero words.
+    pub fn zeroed(len: usize) -> AnonWords {
+        #[cfg(target_os = "linux")]
+        if len > 0 {
+            let ptr = unsafe {
+                sys::mmap(
+                    std::ptr::null_mut(),
+                    len * 8,
+                    sys::PROT_READ | sys::PROT_WRITE,
+                    sys::MAP_PRIVATE | sys::MAP_ANONYMOUS,
+                    -1,
+                    0,
+                )
+            };
+            if ptr != sys::MAP_FAILED {
+                if let Some(ptr) = std::ptr::NonNull::new(ptr as *mut u64) {
+                    return AnonWords(Words::Mapped { ptr, len });
+                }
+            }
+        }
+        AnonWords(Words::Heap(vec![0; len]))
+    }
+
+    /// The words.
+    pub fn as_slice(&self) -> &[u64] {
+        match &self.0 {
+            Words::Mapped { ptr, len } => unsafe { std::slice::from_raw_parts(ptr.as_ptr(), *len) },
+            Words::Heap(v) => v,
+        }
+    }
+
+    /// The words, mutably.
+    pub fn as_mut_slice(&mut self) -> &mut [u64] {
+        match &mut self.0 {
+            Words::Mapped { ptr, len } => unsafe {
+                std::slice::from_raw_parts_mut(ptr.as_ptr(), *len)
+            },
+            Words::Heap(v) => v,
+        }
+    }
+}
+
+impl Drop for Words {
+    fn drop(&mut self) {
+        #[cfg(target_os = "linux")]
+        if let Words::Mapped { ptr, len } = *self {
+            unsafe {
+                sys::munmap(ptr.as_ptr() as *mut std::os::raw::c_void, len * 8);
+            }
+        }
+    }
+}
+
 /// A whole file as one shared immutable byte region: mapped where
 /// possible, heap-resident otherwise. This is the [`Backing`] the v2
 /// snapshot sections view into.
@@ -327,6 +410,23 @@ impl From<truss_graph::section::SectionError> for StorageError {
 mod tests {
     use super::*;
     use std::io::Write;
+
+    #[test]
+    fn anon_words_start_zeroed_and_keep_writes() {
+        for len in [0usize, 1, 8, 4096 * 3 + 5] {
+            let mut w = AnonWords::zeroed(len);
+            assert_eq!(w.as_slice().len(), len);
+            assert!(w.as_slice().iter().all(|&x| x == 0));
+            for (i, x) in w.as_mut_slice().iter_mut().enumerate() {
+                *x = i as u64 * 3;
+            }
+            assert!(w
+                .as_slice()
+                .iter()
+                .enumerate()
+                .all(|(i, &x)| x == i as u64 * 3));
+        }
+    }
 
     fn temp_path(name: &str) -> std::path::PathBuf {
         std::env::temp_dir().join(format!("truss-mmap-{}-{name}", std::process::id()))

@@ -4,10 +4,13 @@
 use proptest::prelude::*;
 use truss_decomposition::core::core_decomposition::core_decompose;
 use truss_decomposition::core::decompose::{truss_decompose, truss_decompose_naive};
+use truss_decomposition::core::outofcore::filter::EdgeFilter;
 use truss_decomposition::core::outofcore::spill::SpillDrain;
 use truss_decomposition::core::outofcore::state::StateFile;
 use truss_decomposition::core::outofcore::support::sharded_supports;
-use truss_decomposition::core::outofcore::{outofcore_decompose_in, OutOfCoreConfig, ShardPlan};
+use truss_decomposition::core::outofcore::{
+    outofcore_decompose_in, outofcore_minimum_budget, OutOfCoreConfig, ShardPlan,
+};
 use truss_decomposition::core::pool::ThreadPool;
 use truss_decomposition::core::truss::{is_k_truss, peel_to_k_truss, truss_subgraph_edges};
 use truss_decomposition::graph::generators::{rmat, RmatConfig};
@@ -222,15 +225,17 @@ proptest! {
     }
 }
 
-/// Runs the windowed, sharded support-init pass on `threads` workers and
-/// returns the per-edge supports it left in the spilled state file. A
-/// deliberately tiny window budget and spill-buffer cap force evictions
-/// and disk traffic even on proptest-sized graphs.
+/// Runs the windowed, sharded support-init pass on `threads` workers with
+/// a `filter_bytes` edge filter and returns the per-edge supports it left
+/// in the spilled state file. A deliberately tiny window budget and
+/// spill-buffer cap force evictions and disk traffic even on
+/// proptest-sized graphs.
 fn outofcore_supports(
     g: &CsrGraph,
     shards: usize,
     window_budget: usize,
     threads: usize,
+    filter_bytes: usize,
 ) -> Vec<u32> {
     let scratch = ScratchDir::new().unwrap();
     let tracker = IoTracker::new();
@@ -249,6 +254,7 @@ fn outofcore_supports(
         &scratch,
         &tracker,
         16,
+        filter_bytes,
         &sup,
         &mut min_sup,
         &pool,
@@ -256,6 +262,11 @@ fn outofcore_supports(
     )
     .unwrap();
     sup.read_all().unwrap()
+}
+
+/// The edge-filter size the engine picks for `g` at its smallest budget.
+fn smallest_filter(g: &CsrGraph) -> usize {
+    EdgeFilter::bytes_for(g.num_edges(), outofcore_minimum_budget(g))
 }
 
 proptest! {
@@ -269,8 +280,25 @@ proptest! {
     fn outofcore_supports_match_inmemory(g in arb_graph(48, 400)) {
         let expected = edge_supports(&g);
         for shards in SHARD_COUNTS {
-            let got = outofcore_supports(&g, shards, 4096, 1);
-            prop_assert_eq!(&got, &expected, "shards = {}", shards);
+            for filter_bytes in [smallest_filter(&g), EdgeFilter::BLOCK_BYTES] {
+                let got = outofcore_supports(&g, shards, 4096, 1, filter_bytes);
+                prop_assert_eq!(&got, &expected, "shards = {}, filter = {}", shards, filter_bytes);
+            }
+        }
+    }
+
+    /// The edge filter has no false negatives: after every edge of a
+    /// random graph is inserted, every edge queries true — at the size the
+    /// engine picks for its smallest budget and in one saturated block.
+    #[test]
+    fn edge_filter_has_no_false_negatives(g in arb_graph(200, 3000)) {
+        for bytes in [smallest_filter(&g), EdgeFilter::BLOCK_BYTES] {
+            let mut window = Window::new(4096, g.is_mapped());
+            let f = EdgeFilter::build(g.edges(), bytes, &mut window, &IoTracker::new());
+            for e in g.edges() {
+                prop_assert!(f.may_contain(e.u, e.v), "{:?}, filter = {}", e, bytes);
+                prop_assert!(f.may_contain(e.v, e.u), "{:?}, filter = {}", e, bytes);
+            }
         }
     }
 
@@ -282,7 +310,7 @@ proptest! {
     fn parallel_supports_match_serial(g in arb_graph(48, 400)) {
         let expected = edge_supports(&g);
         for threads in [2usize, 4] {
-            let got = outofcore_supports(&g, 5, 4096, threads);
+            let got = outofcore_supports(&g, 5, 4096, threads, smallest_filter(&g));
             prop_assert_eq!(&got, &expected, "threads = {}", threads);
         }
     }
@@ -339,7 +367,7 @@ proptest! {
         let expected_sup = edge_supports(&g);
         let scratch = ScratchDir::new().unwrap();
         for shards in SHARD_COUNTS {
-            let got = outofcore_supports(&g, shards, 4096, 1);
+            let got = outofcore_supports(&g, shards, 4096, 1, smallest_filter(&g));
             prop_assert_eq!(&got, &expected_sup, "supports, shards = {}", shards);
             let cfg = OutOfCoreConfig::with_shards(IoConfig::with_budget(1), shards);
             let (d, _) = outofcore_decompose_in(&g, &cfg, &scratch).unwrap();
