@@ -82,8 +82,6 @@ pub struct OutOfCoreRow {
     pub peak_rss_bytes: Option<u64>,
     /// The gate line: `effective_budget * 3 / 2`.
     pub rss_limit_bytes: u64,
-    /// The window accountant's high-water mark, max over both arms.
-    pub window_high_water: u64,
     /// Edges whose trussness disagrees with the in-memory engine,
     /// summed over both arms.
     pub mismatches: u64,
@@ -125,7 +123,7 @@ pub struct Speedup {
 /// `BenchScale::Default`). The scale also keeps the engine's clamped
 /// minimum budget comfortably above its irreducible heap floor (the
 /// `4m`-byte result array dominates), so the `1.5x` RSS gate measures
-/// windowing discipline rather than allocator rounding.
+/// the engine's residency discipline rather than allocator rounding.
 fn ooc_graph(scale: BenchScale) -> CsrGraph {
     let spec = Dataset::P2p.spec();
     Dataset::P2p.build_scaled(spec.default_scale * 40.0 * scale_factor(scale), 0x5eed)
@@ -217,7 +215,7 @@ pub fn outofcore_bench(scale: BenchScale) -> OutOfCoreBench {
         for threads in THREAD_ARMS {
             let (warm_mis, wall_warm_s, warm_rss, warm_report) =
                 run_arm(configured, threads, false);
-            let (cold_mis, wall_cold_s, cold_rss, cold_report) = run_arm(configured, threads, true);
+            let (cold_mis, wall_cold_s, cold_rss, _) = run_arm(configured, threads, true);
             let effective_budget = warm_report.effective_budget as u64;
             let rss_limit_bytes = effective_budget * RSS_SLACK_NUM / RSS_SLACK_DEN;
             let peak_rss_bytes = match (warm_rss, cold_rss) {
@@ -247,8 +245,6 @@ pub fn outofcore_bench(scale: BenchScale) -> OutOfCoreBench {
                 spill_drain_overlap_ms: warm_report.spill_drain_overlap.as_secs_f64() * 1e3,
                 peak_rss_bytes,
                 rss_limit_bytes,
-                window_high_water: (warm_report.window_high_water as u64)
-                    .max(cold_report.window_high_water as u64),
                 mismatches: warm_mis + cold_mis,
                 rss_ok,
                 clamped_into_previous,
@@ -355,7 +351,7 @@ pub fn outofcore_json(bench: &OutOfCoreBench, scale: BenchScale) -> String {
              \"shards\": {}, \"wall_warm_s\": {:.6}, \"wall_cold_s\": {:.6}, \
              \"spill_bytes_written\": {}, \"spill_bytes_read\": {}, \
              \"spill_drain_overlap_ms\": {:.3}, \"peak_rss_bytes\": {}, \
-             \"rss_limit_bytes\": {}, \"window_high_water\": {}, \"mismatches\": {}, \
+             \"rss_limit_bytes\": {}, \"mismatches\": {}, \
              \"rss_ok\": {}, \"clamped_into_previous\": {}}}{}\n",
             r.configured_budget,
             r.effective_budget,
@@ -369,7 +365,6 @@ pub fn outofcore_json(bench: &OutOfCoreBench, scale: BenchScale) -> String {
             r.peak_rss_bytes
                 .map_or_else(|| "null".to_string(), |p| p.to_string()),
             r.rss_limit_bytes,
-            r.window_high_water,
             r.mismatches,
             r.rss_ok,
             r.clamped_into_previous,

@@ -47,8 +47,8 @@ pub enum AlgorithmKind {
     /// PKT-style shared-memory parallel peeling (Kabir & Madduri) — not in
     /// the paper; see [`crate::parallel`].
     Parallel,
-    /// Out-of-core decomposition over a windowed GR2 snapshot with
-    /// vertex-range sharding; see [`crate::outofcore`].
+    /// Out-of-core decomposition over a GR2 snapshot with vertex-range
+    /// sharding; see [`crate::outofcore`].
     OutOfCore,
 }
 
@@ -672,10 +672,10 @@ impl TrussEngine for TopDownEngine {
     }
 }
 
-/// TD-ooc: out-of-core decomposition over a windowed GR2 snapshot
+/// TD-ooc: out-of-core decomposition over a GR2 snapshot
 /// ([`crate::outofcore`]). Unlike TD-bottomup/topdown it never copies
-/// the graph into scratch records — the snapshot's sections are the
-/// working arrays, advised in and out of residency under the budget.
+/// the graph into scratch records — each pass copies the rows it needs
+/// out of the snapshot with positioned reads, within the budget.
 pub struct OutOfCoreEngine;
 
 impl TrussEngine for OutOfCoreEngine {

@@ -2,11 +2,14 @@
 //!
 //! The paper's external algorithms (TD-bottomup/topdown) stream scratch
 //! *copies* of the graph through fixed-width record files. This engine
-//! decomposes directly over the mapped `TRUSSGR2` snapshot instead: no
-//! per-record parsing, no duplicated edge list — the snapshot's sections
-//! *are* the working arrays, and residency is governed by the
-//! [`Window`] advice layer so `memory_budget` is a real bound even when
-//! the snapshot is many times larger.
+//! decomposes directly over the `TRUSSGR2` snapshot instead: no
+//! per-record parsing, no duplicated edge list. Every pass moves the rows
+//! and edges it needs into its budget by explicit positioned copies
+//! ([`CsrGraph::copy_rows`], range-checked by `Rows`), never through
+//! the mapping, so `memory_budget` is a real bound even when the
+//! snapshot is many times larger. Only the offsets section (pinned) and
+//! the edges section (planning, the filter scan) are read through the
+//! mapping, under the [`Window`] advice layer.
 //!
 //! The decomposition is sharded by vertex range ([`ShardPlan`]): shard
 //! boundaries are chosen on the edge section (edge ids are lexicographic
@@ -20,21 +23,21 @@
 //!
 //! Heap during the run is `O(n + m/4 + budget)`: the degree-rank array
 //! (support phase only), the peel's two per-edge bitsets, and
-//! budget-bounded chunks, buffers and windows. The final `4m`-byte trussness vector is
-//! materialized only after every window is released.
+//! budget-bounded chunks, buffers and copied rows. The final `4m`-byte
+//! trussness vector is materialized only after the pinned offsets are
+//! released.
 //!
 //! The engine is shard-parallel ([`OutOfCoreConfig::threads`]): support
 //! passes schedule shards over a worker pool, the peel runs its epochs
 //! on the same pool ([`peel::external_peel`]; width 1 is a one-worker
 //! pool, not a separate code path), spill appends go through a
-//! background [`spill::SpillDrain`], and the window budget is split into
-//! per-worker sub-accountants so summed residency still honors the
-//! global budget. Workers here block on `pread` and page faults, so the
-//! pool is built *unclamped* ([`crate::pool::ThreadPool::unclamped`]):
-//! widths beyond the core count still overlap I/O stalls — unlike the
-//! compute-bound in-memory engine, where the clamp is pure win — and
-//! determinism tests get real multi-worker interleavings on small
-//! machines.
+//! background [`spill::SpillDrain`], and shard sizing (`auto_shards`)
+//! keeps the workers' concurrent shard builds within half the budget.
+//! Workers here block on `pread`, so the pool is built *unclamped*
+//! ([`crate::pool::ThreadPool::unclamped`]): widths beyond the core
+//! count still overlap I/O stalls — unlike the compute-bound in-memory
+//! engine, where the clamp is pure win — and determinism tests get real
+//! multi-worker interleavings on small machines.
 
 pub mod filter;
 pub mod peel;
@@ -49,9 +52,9 @@ use spill::SpillDrain;
 use state::StateFile;
 use std::time::{Duration, Instant};
 use support::SupportStats;
-use truss_graph::{CsrGraph, EdgeId, VertexId};
+use truss_graph::{CsrGraph, Edge, EdgeId, VertexId};
 use truss_storage::window::{Window, PAGE_BYTES};
-use truss_storage::{IoConfig, IoStats, IoTracker, Result, ScratchDir};
+use truss_storage::{IoConfig, IoStats, IoTracker, Result, ScratchDir, StorageError};
 
 /// Hard cap on shard count — beyond this the per-shard bookkeeping
 /// dominates and the spill buckets fragment.
@@ -120,8 +123,8 @@ pub fn outofcore_minimum_budget(g: &CsrGraph) -> usize {
 /// `≤ (budget/4)/⌈w/2⌉`, so `w` concurrent builds together hold
 /// `≤ budget·w/(4⌈w/2⌉) ≤ budget/2` — half the budget for shard
 /// builds, the other half for the result array, state chunks and spill
-/// buffers, matching the working-minimum floor. Each worker's set also
-/// fits within half its own `budget/w` sub-accountant (`w ≤ 2⌈w/2⌉`).
+/// buffers, matching the working-minimum floor. The copied shard rows
+/// (8 bytes per half-edge) are part of that pessimistic `48m`.
 /// Scaling shards *linearly* with width would shrink working sets to
 /// the single-worker headroom, but every extra shard costs a full
 /// `ShardFwd` rebuild per pass — measured on the bench graph, the
@@ -213,8 +216,8 @@ impl ShardPlan {
 /// Counters and timings out of a run.
 #[derive(Debug, Clone, Default)]
 pub struct OutOfCoreReport {
-    /// Disk traffic (state chunks, spill buckets, windowed section
-    /// reads).
+    /// Disk traffic (state chunks, spill buckets, copied rows and
+    /// edges, section scans).
     pub io: IoStats,
     /// The clamped budget the run actually honored.
     pub effective_budget: usize,
@@ -228,10 +231,6 @@ pub struct OutOfCoreReport {
     pub support: SupportStats,
     /// Peel-phase counters.
     pub peel: PeelStats,
-    /// Largest windowed residency the advice accountant saw.
-    pub window_high_water: usize,
-    /// Windows evicted to stay under budget.
-    pub window_evictions: u64,
     /// Worker threads the run scheduled shards over.
     pub threads: usize,
     /// Bytes of spill runs handed to disk (support + peel).
@@ -245,9 +244,10 @@ pub struct OutOfCoreReport {
 
 /// Decomposes `g` under `cfg`, spilling into `scratch`.
 ///
-/// Works on any `CsrGraph`; a graph served from a mapped GR2 snapshot
-/// additionally gets real `madvise` windowing (heap-resident graphs run
-/// the same code with accounting-only windows).
+/// Works on any `CsrGraph`: a graph served from a mapped GR2 snapshot
+/// has its rows copied with positioned reads and its pinned offsets and
+/// edge scans advised with `madvise`; a heap-resident graph runs the
+/// same code with slice copies and no advice.
 pub fn outofcore_decompose_in(
     g: &CsrGraph,
     cfg: &OutOfCoreConfig,
@@ -261,26 +261,23 @@ pub fn outofcore_decompose_in(
     };
     let tracker = IoTracker::new();
 
-    // Half the budget belongs to mapped-section windows, the rest to the
-    // engine's own heap (chunks, buffers, rank array).
+    // Half the budget belongs to what is read through the mapping (the
+    // pinned offsets, scan chunks), the rest to the engine's own heap
+    // (chunks, buffers, rank array, copied rows).
     let mut window = Window::new((budget / 2).max(PAGE_BYTES), g.is_mapped());
-    // Kill kernel readahead over every section first: scattered reads
-    // (the plan's binary searches, the peel's foreign-row probes) would
-    // otherwise fault ~128 KiB clusters per touch and blanket whole
-    // sections with residency the accountant never sees.
+    // Rows, edge-id rows and walked edges are copied out with positioned
+    // reads; only the offsets and edges sections are read through the
+    // mapping. Kill kernel readahead there first, so the plan's binary
+    // searches do not fault ~128 KiB clusters per touch.
     let offsets = g.offsets_section().as_slice();
-    let (all_nbrs, all_eids) = row_slices(g, 0, g.num_vertices() as u32);
     let all_edges = g.edges();
     window.mark_random(offsets);
-    window.mark_random(all_nbrs);
-    window.mark_random(all_eids);
     window.mark_random(all_edges);
     // Clean slate: an earlier full scan (checksum verification, another
-    // engine) may have left the entire snapshot resident. Drop it all;
-    // the governed phases re-fault exactly what they declare.
+    // engine) may have left the entire snapshot resident. Drop it all.
     window.release_section(offsets);
-    window.release_section(all_nbrs);
-    window.release_section(all_eids);
+    window.release_section(g.neighbors_section().as_slice());
+    window.release_section(g.edge_ids_section().as_slice());
     window.release_section(all_edges);
 
     // Unclamped on purpose: these workers spend their time blocked on
@@ -304,10 +301,8 @@ pub fn outofcore_decompose_in(
     // faulted before the governed phases begin.
     window.release_section(all_edges);
 
-    // The offsets section is consulted on every row access — pin it for
-    // the whole run (it is part of the minimum budget). A plain `need`
-    // would let FIFO eviction drop it, after which every row access
-    // refaults it as untracked residency.
+    // The offsets section is consulted on every row copy: pin it for the
+    // whole run (it is part of the minimum budget).
     window.pin(offsets);
     tracker.record_read(std::mem::size_of_val(offsets) as u64);
 
@@ -365,8 +360,6 @@ pub fn outofcore_decompose_in(
         peel_time,
         support,
         peel,
-        window_high_water: window.high_water_bytes(),
-        window_evictions: window.stats().evictions,
         threads: workers,
         spill_bytes_written: support.spill_bytes_written + peel.spill_bytes_written,
         spill_bytes_read: support.spill_bytes_read + peel.spill_bytes_read,
@@ -384,16 +377,85 @@ pub fn outofcore_decompose(
     outofcore_decompose_in(g, cfg, &scratch)
 }
 
-/// The concatenated neighbor and edge-id rows of vertices `lo..hi` as
-/// two flat slices — the unit the window layer advises over (CSR rows
-/// are contiguous, so a vertex range is one byte range per section).
-pub(crate) fn row_slices(g: &CsrGraph, lo: VertexId, hi: VertexId) -> (&[VertexId], &[EdgeId]) {
-    let off = g.offsets_section().as_slice();
-    let (a, b) = (off[lo as usize] as usize, off[hi as usize] as usize);
-    (
-        &g.neighbors_section().as_slice()[a..b],
-        &g.edge_ids_section().as_slice()[a..b],
-    )
+/// The CSR rows of one vertex range, copied out of the graph
+/// ([`CsrGraph::copy_rows`]: positioned reads on a mapped snapshot, so
+/// no pass reads rows through the mapping) and checked on the way in. A
+/// neighbor id not below `n`, an edge id not below `m` or offsets out of
+/// order mean a corrupt snapshot, reported as [`StorageError::Corrupt`]
+/// instead of a panic inside a pass.
+pub(crate) struct Rows<'g> {
+    g: &'g CsrGraph,
+    offsets: &'g [u64],
+    base: usize,
+    nbrs: Vec<VertexId>,
+    eids: Vec<EdgeId>,
+}
+
+impl<'g> Rows<'g> {
+    /// An empty row buffer over `g`.
+    pub(crate) fn new(g: &'g CsrGraph) -> Rows<'g> {
+        Rows {
+            g,
+            offsets: g.offsets_section().as_slice(),
+            base: 0,
+            nbrs: Vec::new(),
+            eids: Vec::new(),
+        }
+    }
+
+    /// Replaces the buffer's contents with the rows of vertices
+    /// `lo..hi`, recorded on `tracker` as one read.
+    pub(crate) fn load(&mut self, lo: VertexId, hi: VertexId, tracker: &IoTracker) -> Result<()> {
+        let offs = &self.offsets[lo as usize..=hi as usize];
+        if let Some(v) = offs.windows(2).position(|p| p[0] > p[1]) {
+            return Err(StorageError::Corrupt(format!(
+                "offsets decrease at vertex {}",
+                lo as usize + v
+            )));
+        }
+        self.g.copy_rows(lo, hi, &mut self.nbrs, &mut self.eids)?;
+        tracker.record_read((std::mem::size_of_val(&self.nbrs[..]) * 2) as u64);
+        let (n, m) = (self.g.num_vertices(), self.g.num_edges());
+        if let Some(w) = self.nbrs.iter().find(|&&w| w as usize >= n) {
+            return Err(StorageError::Corrupt(format!(
+                "neighbor id {w} in the rows of vertices {lo}..{hi} is not below n = {n}"
+            )));
+        }
+        if let Some(e) = self.eids.iter().find(|&&e| e as usize >= m) {
+            return Err(StorageError::Corrupt(format!(
+                "edge id {e} in the rows of vertices {lo}..{hi} is not below m = {m}"
+            )));
+        }
+        self.base = offs[0] as usize;
+        Ok(())
+    }
+
+    /// The neighbors and edge ids of `v`, which must lie in the loaded
+    /// range.
+    pub(crate) fn row(&self, v: VertexId) -> (&[VertexId], &[EdgeId]) {
+        let a = self.offsets[v as usize] as usize - self.base;
+        let b = self.offsets[v as usize + 1] as usize - self.base;
+        (&self.nbrs[a..b], &self.eids[a..b])
+    }
+}
+
+/// Copies edge `e` out of the graph (a positioned read on a mapped
+/// snapshot), recorded on `tracker` as one read, and checks that its
+/// endpoints are canonical vertex ids.
+pub(crate) fn read_edge(g: &CsrGraph, e: EdgeId, tracker: &IoTracker) -> Result<Edge> {
+    let mut edge = Edge { u: 0, v: 0 };
+    g.edges_section()
+        .read_at(e as usize, std::slice::from_mut(&mut edge))?;
+    tracker.record_read(std::mem::size_of::<Edge>() as u64);
+    if edge.u >= edge.v || edge.v as usize >= g.num_vertices() {
+        return Err(StorageError::Corrupt(format!(
+            "edge {e} = ({}, {}) is not a canonical pair below n = {}",
+            edge.u,
+            edge.v,
+            g.num_vertices()
+        )));
+    }
+    Ok(edge)
 }
 
 #[cfg(test)]

@@ -18,11 +18,10 @@
 //!   with `k`), writes the chunk back and recomputes its live minimum.
 //! * **Phase B** (graph only, state read-only): the killed edges that
 //!   walk are marked in `died_epoch` at the barrier, then enumerate
-//!   their triangles by merge-intersecting their endpoints' rows — the
-//!   lower endpoint's row is in-shard (windowed mapping access), the
-//!   upper one's a random foreign read served by `pread` on the snapshot
-//!   file so it never faults mapping pages in. The bitsets are frozen
-//!   during the phase, so every worker classifies a triangle
+//!   their triangles by merge-intersecting their endpoints' rows. The
+//!   walked edge and both rows are copied out with positioned reads
+//!   (`Rows`), so the phase faults no mapped page in. The bitsets are
+//!   frozen during the phase, so every worker classifies a triangle
 //!   identically: a partner dead before this epoch means the triangle
 //!   was already *retired* (skip); otherwise the dying edges of the
 //!   triangle are `D = {e} ∪ {partners with died_epoch}`, and only
@@ -55,7 +54,7 @@
 
 use super::spill::{IncRec, SpillBuckets, SpillDrain};
 use super::state::StateFile;
-use super::ShardPlan;
+use super::{read_edge, Rows, ShardPlan};
 use crate::pool::ThreadPool;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -72,8 +71,6 @@ pub struct PeelStats {
     pub shard_visits: u64,
     /// Cross-shard decrements that went through disk.
     pub decs_spilled: u64,
-    /// Bulk window resets forced by stray foreign-row reads.
-    pub window_flushes: u64,
     /// Epoch barriers crossed.
     pub epochs: u64,
     /// Killed edges whose triangles phase B enumerated.
@@ -176,14 +173,6 @@ pub fn external_peel(
                 Arc::clone(drain),
             ))
         })
-        .collect();
-
-    let (all_nbrs, all_eids) = super::row_slices(g, 0, g.num_vertices() as u32);
-    let edges = g.edges();
-    let subs: Vec<Mutex<Window>> = window
-        .partition(workers)
-        .into_iter()
-        .map(Mutex::new)
         .collect();
 
     let mut k = 2u32;
@@ -300,75 +289,33 @@ pub fn external_peel(
             // triangle emits decrements for the still-alive partners (see
             // module docs).
             let cursor = AtomicUsize::new(0);
-            let phase_b = pool.run(|w| -> Result<u64> {
+            let phase_b = pool.run(|w| -> Result<()> {
                 let mut decs = dec_sets[w].lock().expect("dec set");
-                let mut win = subs[w].lock().expect("sub-window");
-                let mut flushes = 0u64;
-                let mut fnb: Vec<u32> = Vec::new();
-                let mut fib: Vec<u32> = Vec::new();
+                let (mut ra, mut rb) = (Rows::new(g), Rows::new(g));
                 loop {
                     let bi = cursor.fetch_add(1, Ordering::Relaxed);
                     if bi >= bshards.len() {
                         break;
                     }
-                    let s = bshards[bi];
-                    let (v_lo, v_hi) = plan.vertex_range(s);
-                    let (e_lo, e_hi) = plan.edge_range(s);
-                    let (nbr_rows, eid_rows) = super::row_slices(g, v_lo, v_hi);
-                    let shard_edges = &edges[e_lo..e_hi];
-                    win.need(nbr_rows);
-                    win.need(eid_rows);
-                    win.need(shard_edges);
-                    tracker.record_read(
-                        (std::mem::size_of_val(nbr_rows) * 2 + std::mem::size_of_val(shard_edges))
-                            as u64,
-                    );
-                    for &(e, c) in &walks_by_shard[s] {
-                        let edge = edges[e as usize];
-                        let (na, ia) = (g.neighbors(edge.u), g.neighbor_edge_ids(edge.u));
-                        // edge.u's row is in-shard (windowed); edge.v's is
-                        // a random foreign read served by `pread` so it
-                        // never faults mapping pages in.
-                        let (nb, ib): (&[u32], &[u32]) =
-                            if g.copy_rows_nofault(edge.v, edge.v + 1, &mut fnb, &mut fib) {
-                                tracker.record_read((std::mem::size_of_val(&fnb[..]) * 2) as u64);
-                                (&fnb, &fib)
-                            } else {
-                                let nb = g.neighbors(edge.v);
-                                let ib = g.neighbor_edge_ids(edge.v);
-                                win.note_span(nb);
-                                win.note_span(ib);
-                                (nb, ib)
-                            };
-                        retire_triangles(e, c, (na, ia), (nb, ib), &alive, &died_epoch, |f| {
-                            decs.push(plan.edge_shard(f), IncRec { e: f, c: 1 })
-                        })?;
-
-                        if win.over_budget() {
-                            // Stray foreign rows have scattered fault-
-                            // around clusters outside every declared
-                            // window: drop the graph sections wholesale
-                            // and re-declare the shard.
-                            flushes += 1;
-                            win.release_section(all_nbrs);
-                            win.release_section(all_eids);
-                            win.release_section(edges);
-                            win.need(nbr_rows);
-                            win.need(eid_rows);
-                            win.need(shard_edges);
-                        }
+                    for &(e, c) in &walks_by_shard[bshards[bi]] {
+                        let edge = read_edge(g, e, tracker)?;
+                        ra.load(edge.u, edge.u + 1, tracker)?;
+                        rb.load(edge.v, edge.v + 1, tracker)?;
+                        retire_triangles(
+                            e,
+                            c,
+                            ra.row(edge.u),
+                            rb.row(edge.v),
+                            &alive,
+                            &died_epoch,
+                            |f| decs.push(plan.edge_shard(f), IncRec { e: f, c: 1 }),
+                        )?;
                     }
-                    win.release(nbr_rows);
-                    win.release(eid_rows);
-                    win.release(shard_edges);
-                    win.release_section(all_nbrs);
-                    win.release_section(all_eids);
-                    win.release_section(edges);
                 }
-                Ok(flushes)
+                Ok(())
             });
             for r in phase_b {
-                stats.window_flushes += r?;
+                r?;
             }
 
             // Reset the epoch markers (O(walks), not O(m)).
@@ -385,14 +332,9 @@ pub fn external_peel(
         stats.spill_bytes_written += set.spilled_bytes_written();
         stats.spill_bytes_read += set.spilled_bytes_read();
     }
-    window.absorb(
-        subs.into_iter()
-            .map(|m| m.into_inner().expect("sub-window"))
-            .collect(),
-    );
 
     // Everything is dead; every chunk slot now holds a truss number.
-    // Release the graph windows before materializing the 4m-byte result.
+    // Release the pinned offsets before materializing the 4m-byte result.
     window.release_all();
     let trussness = sup.read_all()?;
     Ok((trussness, stats))

@@ -1,4 +1,4 @@
-//! Shard-at-a-time support initialization over a windowed GR2 graph.
+//! Shard-at-a-time support initialization over a GR2 graph.
 //!
 //! In-memory engines count support with one global
 //! `ForwardAdjacency` (`truss_triangle::list`)
@@ -17,34 +17,34 @@
 //! Pass structure (S shards):
 //!   0. one sequential scan of the edges section builds the filter
 //!      (about 10 bits per edge, at most an eighth of the budget);
-//!   1. per *source* shard: build `ShardFwd`, intersect in-shard pairs,
-//!      spill the screened boundary probes — `O(m^{1.5})` work,
-//!      `O(scan(P))` I/O for `P ≈ 3·triangles + FPR·wedges` probes;
+//!   1. per *source* shard: copy its rows, build `ShardFwd` from them,
+//!      intersect in-shard pairs, spill the screened boundary probes —
+//!      `O(m^{1.5})` work, `O(scan(P))` I/O for
+//!      `P ≈ 3·triangles + FPR·wedges` probes;
 //!   2. per *target* shard: resolve each probe with one binary search in
 //!      `v`'s sorted CSR row (no second `ShardFwd` build: `w` ranks after
 //!      `v` by construction, so `w ∈ N(v)` is the whole test);
 //!   3. per *edge* shard: fold increment buckets into the support chunk.
 //!
-//! Passes 0 and 1 touch graph sections through the [`Window`] layer, so
+//! Pass 0 streams the edges section through the [`Window`] layer a
+//! chunk at a time. Passes 1 and 2 copy each shard's rows out with
+//! positioned reads (`Rows`) and read nothing through the mapping, so
 //! resident bytes stay within the engine budget even though the whole
-//! snapshot is mapped. Pass 2 copies each shard's rows out with
-//! positioned reads instead and maps nothing.
+//! snapshot is mapped.
 //!
 //! Passes 1–3 are shard-parallel: shards are independent units of
 //! work (a shard's forward lists, probes and support chunk touch no
 //! other shard's state), so workers pull shard indices from a shared
-//! cursor. Each worker gets its own sub-accountant from
-//! [`Window::partition`] — the *sum* of worker residency stays under the
-//! engine budget — and its own bucket set (`probe-w<t>` / `inc-w<t>`)
-//! so pushes are contention-free; the consuming pass drains shard `s`
-//! from every worker's set. Bucket appends go through the shared
-//! background [`SpillDrain`], overlapping spill writes with triangle
-//! counting.
+//! cursor. Each worker gets its own bucket set (`probe-w<t>` /
+//! `inc-w<t>`) so pushes are contention-free; the consuming pass drains
+//! shard `s` from every worker's set. Bucket appends go through the
+//! shared background [`SpillDrain`], overlapping spill writes with
+//! triangle counting.
 
 use super::filter::EdgeFilter;
 use super::spill::{IncRec, ProbeRec, SpillBuckets, SpillDrain};
 use super::state::StateFile;
-use super::ShardPlan;
+use super::{Rows, ShardPlan};
 use crate::pool::ThreadPool;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -66,17 +66,19 @@ pub struct ShardFwd {
 }
 
 impl ShardFwd {
-    /// Builds the forward lists of vertices `lo..hi`. One counting pass
-    /// plus a per-vertex fill (each list sorted by rank in a reused
-    /// scratch buffer — lists are short, the sort is the same trick
-    /// `ForwardAdjacency::build_par` uses per chunk).
-    pub fn build(g: &CsrGraph, vertex_ranks: &[u32], lo: VertexId, hi: VertexId) -> ShardFwd {
+    /// Builds the forward lists of vertices `lo..hi` from their copied
+    /// `rows`. One counting pass plus a per-vertex fill (each list
+    /// sorted by rank in a reused scratch buffer — lists are short, the
+    /// sort is the same trick `ForwardAdjacency::build_par` uses per
+    /// chunk).
+    pub(crate) fn build(rows: &Rows, vertex_ranks: &[u32], lo: VertexId, hi: VertexId) -> ShardFwd {
         let local_n = (hi - lo) as usize;
         let mut offsets = vec![0u64; local_n + 1];
         for v in lo..hi {
             let rv = vertex_ranks[v as usize];
-            let fwd = g
-                .neighbors(v)
+            let fwd = rows
+                .row(v)
+                .0
                 .iter()
                 .filter(|&&w| vertex_ranks[w as usize] > rv)
                 .count();
@@ -93,7 +95,8 @@ impl ShardFwd {
         for v in lo..hi {
             let rv = vertex_ranks[v as usize];
             scratch.clear();
-            for (&w, &e) in g.neighbors(v).iter().zip(g.neighbor_edge_ids(v)) {
+            let (nbrs, eids) = rows.row(v);
+            for (&w, &e) in nbrs.iter().zip(eids) {
                 let rw = vertex_ranks[w as usize];
                 if rw > rv {
                     scratch.push((rw, w, e));
@@ -173,8 +176,6 @@ pub fn sharded_supports(
 ) -> Result<SupportStats> {
     let s_count = plan.num_shards();
     let workers = pool.workers();
-    let offsets = g.offsets_section().as_slice();
-    let (all_nbrs, all_eids) = super::row_slices(g, 0, g.num_vertices() as u32);
     let mut stats = SupportStats::default();
     // One bucket set per worker: pushes never contend, and the consuming
     // pass drains shard `s` from every set (replay order across sets is
@@ -203,15 +204,8 @@ pub fn sharded_supports(
             ))
         })
         .collect();
-    // Pass 0: the edge filter, built before the window is split so the
-    // scan may use the whole window budget.
+    // Pass 0: the edge filter.
     let filter = EdgeFilter::build(g.edges(), filter_bytes, window, tracker);
-
-    let subs: Vec<Mutex<Window>> = window
-        .partition(workers)
-        .into_iter()
-        .map(Mutex::new)
-        .collect();
 
     // Pass 1: in-shard triangles + screened boundary probes, workers
     // pulling source shards from a shared cursor.
@@ -220,9 +214,9 @@ pub fn sharded_supports(
     let pass1 = pool.run(|w| -> Result<(u64, u64)> {
         let mut probes = probe_sets[w].lock().expect("probe set");
         let mut incs = inc_sets[w].lock().expect("inc set");
-        let mut win = subs[w].lock().expect("sub-window");
         let (mut triangles, mut probe_count) = (0u64, 0u64);
         let mut closed: Vec<(EdgeId, EdgeId)> = Vec::new();
+        let mut rows = Rows::new(g);
         loop {
             let s = cursor.fetch_add(1, Ordering::Relaxed);
             if s >= s_count {
@@ -232,11 +226,8 @@ pub fn sharded_supports(
             if lo == hi {
                 continue;
             }
-            let (nbr_rows, eid_rows) = super::row_slices(g, lo, hi);
-            win.need(nbr_rows);
-            win.need(eid_rows);
-            tracker.record_read((std::mem::size_of_val(nbr_rows) * 2) as u64);
-            let fwd = ShardFwd::build(g, vertex_ranks, lo, hi);
+            rows.load(lo, hi, tracker)?;
+            let fwd = ShardFwd::build(&rows, vertex_ranks, lo, hi);
             for u in lo..hi {
                 let lu = fwd.list(u);
                 for i in 0..lu.len() {
@@ -279,19 +270,6 @@ pub fn sharded_supports(
                     }
                 }
             }
-            // Section-wide drop, not a span release: demand faults map
-            // whole fault-around clusters (the kernel installs PTEs for
-            // already-cached neighbor pages), so pages accumulate just
-            // outside the declared spans. The bulk `MADV_DONTNEED` costs
-            // one syscall per section and resets the shard's true
-            // footprint to zero. Concurrent workers may drop each other's
-            // windowed rows here — that only costs the peer a minor
-            // refault from page cache, and keeps real RSS at or below
-            // what the accountants track.
-            win.release(nbr_rows);
-            win.release(eid_rows);
-            win.release_section(all_nbrs);
-            win.release_section(all_eids);
         }
         Ok((triangles, probe_count))
     });
@@ -308,17 +286,14 @@ pub fn sharded_supports(
     drop(filter);
 
     // Pass 2: resolve each shard's probes against its CSR rows. A probe
-    // is a triangle iff w appears in v's sorted neighbor row. The rows
-    // are copied out with positioned reads rather than faulted in: the
-    // binary searches land all over the shard, and each demand fault maps
-    // a whole page-cache folio around it, several times the rows' bytes.
+    // is a triangle iff w appears in v's sorted neighbor row.
     tracker.record_scan();
     let cursor = AtomicUsize::new(0);
     let pass2 = pool.run(|w| -> Result<u64> {
         let mut incs = inc_sets[w].lock().expect("inc set");
         let mut triangles = 0u64;
         let mut resolved: Vec<(u32, u32, u32)> = Vec::new();
-        let (mut nbr_buf, mut eid_buf) = (Vec::new(), Vec::new());
+        let mut rows = Rows::new(g);
         loop {
             let s = cursor.fetch_add(1, Ordering::Relaxed);
             if s >= s_count {
@@ -331,19 +306,13 @@ pub fn sharded_supports(
                 continue;
             }
             let (lo, hi) = plan.vertex_range(s);
-            let (mut nbr_rows, mut eid_rows) = super::row_slices(g, lo, hi);
-            tracker.record_read((std::mem::size_of_val(nbr_rows) * 2) as u64);
-            if g.copy_rows_nofault(lo, hi, &mut nbr_buf, &mut eid_buf) {
-                (nbr_rows, eid_rows) = (&nbr_buf, &eid_buf);
-            }
-            let base = offsets[lo as usize] as usize;
+            rows.load(lo, hi, tracker)?;
             resolved.clear();
             for set in &probe_sets {
                 set.lock().expect("probe set").drain(s, |p| {
-                    let a = offsets[p.v as usize] as usize - base;
-                    let b = offsets[p.v as usize + 1] as usize - base;
-                    if let Ok(j) = nbr_rows[a..b].binary_search(&p.w) {
-                        resolved.push((p.e_uv, p.e_uw, eid_rows[a + j]));
+                    let (nbrs, eids) = rows.row(p.v);
+                    if let Ok(j) = nbrs.binary_search(&p.w) {
+                        resolved.push((p.e_uv, p.e_uw, eids[j]));
                     }
                 })?;
             }
@@ -406,11 +375,6 @@ pub fn sharded_supports(
         stats.spill_bytes_written += set.spilled_bytes_written();
         stats.spill_bytes_read += set.spilled_bytes_read();
     }
-    window.absorb(
-        subs.into_iter()
-            .map(|m| m.into_inner().expect("sub-window"))
-            .collect(),
-    );
     Ok(stats)
 }
 
@@ -468,10 +432,12 @@ mod tests {
     /// the filter screened them.
     fn foreign_middle_wedges(g: &CsrGraph, plan: &ShardPlan) -> u64 {
         let ranks = truss_triangle::list::ranks(g);
+        let mut rows = Rows::new(g);
         let mut wedges = 0u64;
         for s in 0..plan.num_shards() {
             let (lo, hi) = plan.vertex_range(s);
-            let fwd = ShardFwd::build(g, &ranks, lo, hi);
+            rows.load(lo, hi, &IoTracker::new()).unwrap();
+            let fwd = ShardFwd::build(&rows, &ranks, lo, hi);
             for u in lo..hi {
                 let lu = fwd.list(u);
                 for (i, &v) in lu.verts.iter().enumerate() {
@@ -514,9 +480,9 @@ mod tests {
 
     #[test]
     fn mapped_snapshot_resolves_probes_from_copied_rows() {
-        // Pass 2 reads a mapped graph's rows with positioned reads
-        // instead of the mapping; the heap graphs above take the slice
-        // path, so check the copy path on a real GR2 snapshot.
+        // Passes 1 and 2 copy a mapped graph's rows with positioned
+        // reads; the heap graphs above take the slice-copy path, so check
+        // the positioned reads on a real GR2 snapshot.
         let g = planted_clique(&gnm(600, 4000, 0x5a9d), 12, 3);
         let dir = ScratchDir::new().unwrap();
         let path = dir.path().join("g.gr2");

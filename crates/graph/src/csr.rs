@@ -246,24 +246,37 @@ impl CsrGraph {
     }
 
     /// Copies the neighbor rows and edge-id rows of vertices `lo..hi`
-    /// (concatenated, as in [`CsrGraph::neighbors`] order) into the two
-    /// buffers without faulting mapped pages — a positioned read on the
-    /// snapshot file instead of a mapping access, so a random foreign-row
-    /// probe adds nothing to resident memory. Returns `false` when the
-    /// graph has no out-of-band read path (heap-resident graphs); callers
-    /// fall back to [`CsrGraph::neighbors`] /
-    /// [`CsrGraph::neighbor_edge_ids`], which cost nothing extra there.
-    pub fn copy_rows_nofault(
+    /// (concatenated, in [`CsrGraph::neighbors`] order) into the two
+    /// buffers. A mapped graph serves this with positioned reads on the
+    /// snapshot file, so the copy faults no mapped page in; a heap graph
+    /// copies slices. Fails when a read fails (a snapshot truncated after
+    /// it was mapped) or the offsets of `lo` and `hi` do not bound a
+    /// range of the half-edge sections; the range is checked before the
+    /// buffers grow.
+    pub fn copy_rows(
         &self,
         lo: VertexId,
         hi: VertexId,
         nbrs: &mut Vec<VertexId>,
         eids: &mut Vec<EdgeId>,
-    ) -> bool {
+    ) -> std::io::Result<()> {
         let (a, b) = (self.off(lo as usize), self.off(hi as usize));
-        nbrs.resize(b - a, 0);
-        eids.resize(b - a, 0);
-        self.neighbors.read_nofault(a, nbrs) && self.edge_ids.read_nofault(a, eids)
+        let len = b
+            .checked_sub(a)
+            .filter(|_| b <= self.neighbors.len())
+            .ok_or_else(|| {
+                std::io::Error::new(
+                    std::io::ErrorKind::InvalidData,
+                    format!(
+                        "offsets {a}..{b} of vertices {lo}..{hi} are not a range of {} half-edges",
+                        self.neighbors.len()
+                    ),
+                )
+            })?;
+        nbrs.resize(len, 0);
+        eids.resize(len, 0);
+        self.neighbors.read_at(a, nbrs)?;
+        self.edge_ids.read_at(a, eids)
     }
 
     /// The canonical edge with id `id`.

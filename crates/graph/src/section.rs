@@ -38,15 +38,37 @@ pub trait Backing: Send + Sync {
     /// read-only across threads and processes.
     fn is_mapped(&self) -> bool;
 
-    /// Copies `buf.len()` bytes at byte offset `off` into `buf` without
-    /// touching the region's mapping — no page fault, no PTEs installed,
-    /// no RSS growth. Mapped backings serve this with a positioned read
-    /// on the backing file (a page-cache hit in the common case).
-    /// Returns `false` when no out-of-band path exists (heap backings —
-    /// reading their bytes directly costs nothing extra anyway).
-    fn read_at_nofault(&self, _off: usize, _buf: &mut [u8]) -> bool {
-        false
+    /// Copies `buf.len()` bytes at byte offset `off` into `buf`. Mapped
+    /// backings override this with a positioned read on the backing file
+    /// (a page-cache hit in the common case), which leaves the mapping
+    /// untouched: no page fault, no PTEs installed, no RSS growth. The
+    /// default copies out of [`Backing::bytes`]. Fails when the range
+    /// runs past the region, or when the file read does (a snapshot
+    /// truncated after it was mapped).
+    fn read_at(&self, off: usize, buf: &mut [u8]) -> std::io::Result<()> {
+        copy_at(self.bytes(), off, buf)
     }
+}
+
+/// Copies `buf.len()` bytes at `off` out of `bytes`, failing with
+/// `UnexpectedEof` when the range runs past the end (the slice form of
+/// [`Backing::read_at`]).
+pub fn copy_at(bytes: &[u8], off: usize, buf: &mut [u8]) -> std::io::Result<()> {
+    let src = off
+        .checked_add(buf.len())
+        .and_then(|end| bytes.get(off..end))
+        .ok_or_else(|| {
+            std::io::Error::new(
+                std::io::ErrorKind::UnexpectedEof,
+                format!(
+                    "read of {} bytes at {off} runs past a {}-byte region",
+                    buf.len(),
+                    bytes.len()
+                ),
+            )
+        })?;
+    buf.copy_from_slice(src);
+    Ok(())
 }
 
 impl Backing for Vec<u8> {
@@ -252,27 +274,44 @@ impl<T: Pod> SectionBuf<T> {
     }
 
     /// Copies `out.len()` elements starting at element `start` into
-    /// `out` without touching mapped pages (a positioned read through the
-    /// backing file). Returns `false` when the backing has no out-of-band
-    /// read path (owned buffers, heap backings) — callers then read
-    /// [`SectionBuf::as_slice`] directly, which costs nothing there.
-    pub fn read_nofault(&self, start: usize, out: &mut [T]) -> bool {
+    /// `out`: a slice copy for an owned buffer, [`Backing::read_at`] for a
+    /// view (a positioned read on a mapped file, so no mapped page is
+    /// faulted in). Fails when the range runs past the section or the
+    /// read fails.
+    pub fn read_at(&self, start: usize, out: &mut [T]) -> std::io::Result<()> {
+        let elem = std::mem::size_of::<T>();
+        if start
+            .checked_add(out.len())
+            .is_none_or(|end| end > self.len())
+        {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::UnexpectedEof,
+                format!(
+                    "read of {} elements at {start} runs past a {}-element section",
+                    out.len(),
+                    self.len()
+                ),
+            ));
+        }
         match self {
-            SectionBuf::Owned(_) => false,
+            SectionBuf::Owned(v) => {
+                out.copy_from_slice(&v[start..start + out.len()]);
+                Ok(())
+            }
             SectionBuf::Viewed {
                 backing, offset, ..
             } => {
-                let elem = std::mem::size_of::<T>();
-                let byte_off = offset + start * elem;
-                // Pod: every bit pattern is a valid T, so exposing the
-                // output as raw bytes for the read is sound.
+                // SAFETY: the byte slice covers exactly `out`'s memory and
+                // borrows it mutably for the read; `T: Pod` accepts every
+                // bit pattern, so whatever bytes the read leaves there form
+                // valid values.
                 let bytes = unsafe {
                     std::slice::from_raw_parts_mut(
                         out.as_mut_ptr() as *mut u8,
                         std::mem::size_of_val(out),
                     )
                 };
-                backing.read_at_nofault(byte_off, bytes)
+                backing.read_at(offset + start * elem, bytes)
             }
         }
     }
@@ -564,6 +603,21 @@ mod tests {
         assert!(!v.is_mapped(), "copy-on-write detaches");
         assert_eq!(&*clone, &[1, 2, 3], "clone untouched");
         assert!(clone.is_mapped());
+    }
+
+    #[test]
+    fn read_at_copies_owned_and_viewed_ranges() {
+        let words = [5u32, 6, 7, 8];
+        let owned: SectionBuf<u32> = words.to_vec().into();
+        let viewed =
+            SectionBuf::<u32>::view(aligned_bytes(&slice_le_bytes(&words)), 0, 16).unwrap();
+        for buf in [&owned, &viewed] {
+            let mut out = [0u32; 2];
+            buf.read_at(1, &mut out).unwrap();
+            assert_eq!(out, [6, 7]);
+            assert!(buf.read_at(3, &mut out).is_err(), "past the end");
+            assert!(buf.read_at(usize::MAX, &mut out).is_err(), "overflow");
+        }
     }
 
     #[test]

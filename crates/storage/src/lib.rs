@@ -54,7 +54,7 @@ pub use wal::{
     plan_recovery, scan_wal, truncate_torn_tail, Recovery, WalError, WalHeader, WalPayload,
     WalRecord, WalScan, WalStats, WalWriter,
 };
-pub use window::{Window, WindowStats, PAGE_BYTES};
+pub use window::{Window, PAGE_BYTES};
 
 /// Errors from the storage layer.
 #[derive(Debug)]

@@ -378,11 +378,11 @@ impl Backing for Region {
         self.region_is_mapped()
     }
 
-    fn read_at_nofault(&self, off: usize, buf: &mut [u8]) -> bool {
+    fn read_at(&self, off: usize, buf: &mut [u8]) -> std::io::Result<()> {
         match self {
             #[cfg(target_os = "linux")]
-            Region::Mapped(m) => m.read_at(off as u64, buf).is_ok(),
-            Region::Heap(_) => false,
+            Region::Mapped(m) => m.read_at(off as u64, buf),
+            Region::Heap(h) => truss_graph::section::copy_at(h.as_bytes(), off, buf),
         }
     }
 }

@@ -1,42 +1,32 @@
-//! Budgeted advice windows over mapped byte ranges.
+//! Residency advice over mapped byte ranges.
 //!
-//! The out-of-core engine wants `EngineConfig::memory_budget` to be a
-//! *real* bound on resident memory, not an accounting fiction. A mapped
-//! `TRUSSGR2` snapshot ([`crate::snapshot`]) pages in lazily, but pages a
-//! scan faults in stay resident until the kernel is under pressure — so a
-//! full pass over a section leaves the whole section in RSS. [`Window`]
-//! makes residency explicit: callers declare the byte ranges they are
-//! about to touch ([`Window::need`], `madvise(MADV_WILLNEED)`) and release
-//! them when a shard of work is done ([`Window::release`] /
-//! [`Window::release_all`], `MADV_DONTNEED`), while an accountant tracks
-//! the page-rounded resident total against a budget and evicts the
-//! oldest window when a new one would exceed it.
+//! A mapped `TRUSSGR2` snapshot ([`crate::snapshot`]) pages in lazily,
+//! but pages a scan faults in stay resident until the kernel is under
+//! pressure, so a full pass over a section would leave the whole section
+//! in RSS. The out-of-core engine reads CSR rows and walked edges with
+//! positioned copies, never through the mapping; what it still reads
+//! through the mapping goes through a [`Window`]:
+//!
+//! * [`Window::pin`] keeps a range resident for the window's lifetime
+//!   (the offsets section, consulted on every row copy);
+//! * [`Window::for_chunks`] streams a section a chunk at a time, each
+//!   chunk advised in (`MADV_WILLNEED`) before it is read and out
+//!   (`MADV_DONTNEED`) after, so a sequential scan holds one chunk;
+//! * [`Window::release_section`] drops a whole section, for pages that
+//!   demand faults mapped outside any chunk (fault-around, binary
+//!   searches) or that an earlier full scan left behind.
 //!
 //! Advice is only ever issued for ranges inside a live file mapping
-//! (`mapped = true` at construction — `MADV_DONTNEED` on anonymous heap
-//! memory would *zero it*, so the heap/buffered fallback runs the same
-//! accounting with the syscalls elided). That emulation keeps the budget
-//! enforceable — and unit-testable — on every platform: the resident
-//! counter, high-water mark and eviction order behave identically whether
-//! the advice reaches a kernel or not.
-
-use std::collections::VecDeque;
+//! (`mapped = true` at construction): `MADV_DONTNEED` on anonymous heap
+//! memory would *zero it*, so heap-resident graphs run the same calls
+//! with the syscalls elided.
 
 /// Advice granularity: ranges are rounded out to 4 KiB boundaries (the
 /// kernel ignores advice on partial pages; on larger-page systems the
-/// syscall fails harmlessly and the accounting still holds).
+/// syscall fails harmlessly).
 pub const PAGE_BYTES: usize = 4096;
 
-/// What one stray demand fault really maps: the kernel's fault-around
-/// installs PTEs for every already-cached page in a cluster this large
-/// around the faulting address (`/sys/kernel/mm/fault_around_bytes`,
-/// default 64 KiB), and `MADV_RANDOM` does not suppress it — it only
-/// stops the *disk* readahead. Stray-read accounting must charge at this
-/// granularity or real residency outruns the accountant ~16x between
-/// flushes.
-pub const FAULT_CLUSTER_BYTES: usize = 64 * 1024;
-
-/// One active advised range: `[addr, addr + len)`, page-rounded.
+/// One advised range: `[addr, addr + len)`, page-rounded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Span {
     addr: usize,
@@ -44,272 +34,89 @@ struct Span {
 }
 
 impl Span {
-    /// Page-rounds an arbitrary byte range outward.
-    fn around(ptr: usize, len: usize) -> Span {
+    /// Page-rounds the byte range of `bytes` outward; `None` when empty.
+    fn of<T>(bytes: &[T]) -> Option<Span> {
+        let len = std::mem::size_of_val(bytes);
+        if len == 0 {
+            return None;
+        }
+        let ptr = bytes.as_ptr() as usize;
         let start = ptr - ptr % PAGE_BYTES;
         let end = (ptr + len).next_multiple_of(PAGE_BYTES);
-        Span {
+        Some(Span {
             addr: start,
             len: end - start,
-        }
+        })
     }
 }
 
-/// Counters a [`Window`] accumulates over its lifetime (surfaced by the
-/// out-of-core engine's report and asserted by tests).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct WindowStats {
-    /// Total bytes ever advised in (page-rounded).
-    pub advised_bytes: u64,
-    /// Total bytes advised out (page-rounded), evictions included.
-    pub released_bytes: u64,
-    /// Windows evicted to make room under the budget.
-    pub evictions: u64,
-    /// `need` calls whose single range exceeded the whole budget (the
-    /// range is still admitted — a row must be readable — but the
-    /// overshoot is visible).
-    pub oversized_windows: u64,
-}
-
-/// A budgeted set of advised ranges over one logical backing.
-///
-/// FIFO eviction: windows are released oldest-first when a new `need`
-/// would push the resident total past the budget — shard-at-a-time
-/// access patterns touch ranges in rotation, so the oldest window is the
-/// one least likely to be re-read.
+/// Residency advice over one logical backing: pinned ranges plus
+/// chunked scans sized from a byte budget.
 #[derive(Debug)]
 pub struct Window {
     budget: usize,
     mapped: bool,
-    active: VecDeque<Span>,
     pinned: Vec<Span>,
-    resident: usize,
-    high_water: usize,
-    stats: WindowStats,
 }
 
 impl Window {
-    /// A window set enforcing `budget` bytes of advised residency.
-    /// `mapped` gates the actual syscalls: pass the backing's
-    /// `is_mapped()` — heap-resident backings get pure accounting.
+    /// A window whose scans are sized from `budget` bytes. `mapped` gates
+    /// the actual syscalls: pass the backing's `is_mapped()`, and hand a
+    /// mapped window only slices of that mapping.
     pub fn new(budget: usize, mapped: bool) -> Window {
         Window {
             budget: budget.max(PAGE_BYTES),
             mapped: mapped && cfg!(target_os = "linux"),
-            active: VecDeque::new(),
             pinned: Vec::new(),
-            resident: 0,
-            high_water: 0,
-            stats: WindowStats::default(),
         }
     }
 
-    /// The enforced budget in bytes.
+    /// The budget in bytes (at least one page).
     pub fn budget(&self) -> usize {
         self.budget
     }
 
-    /// Disables kernel readahead over `bytes` (`MADV_RANDOM`). Without
-    /// this, every demand fault on a mapped section pulls a ~128 KiB
-    /// readahead cluster, so even a handful of scattered reads (binary
-    /// searches, foreign-row probes) silently blanket the section with
-    /// resident pages no release ever covers. Residency-governed callers
-    /// mark their backing sections random once up front; `need` still
-    /// prefetches declared windows explicitly via `MADV_WILLNEED`.
-    /// Accounting-only (unmapped) windows ignore this.
+    /// Disables kernel readahead over `bytes` (`MADV_RANDOM`), so a
+    /// scattered demand fault (a binary search) maps its own page
+    /// cluster rather than a ~128 KiB readahead window.
     pub fn mark_random<T>(&self, bytes: &[T]) {
-        let len = std::mem::size_of_val(bytes);
-        if len == 0 {
-            return;
+        if let Some(span) = Span::of(bytes) {
+            self.advise(span, Advice::Random);
         }
-        self.advise_mode(Span::around(bytes.as_ptr() as usize, len));
     }
 
-    /// Declares that `bytes` is about to be read: advises the page-rounded
-    /// range in (`MADV_WILLNEED`), evicting the oldest windows first if the
-    /// resident total would exceed the budget.
-    pub fn need<T>(&mut self, bytes: &[T]) {
-        let len = std::mem::size_of_val(bytes);
-        if len == 0 {
-            return;
-        }
-        let span = Span::around(bytes.as_ptr() as usize, len);
-        if self.active.contains(&span) || self.pinned.contains(&span) {
-            return; // idempotent re-declare of a live window
-        }
-        if span.len > self.budget {
-            self.stats.oversized_windows += 1;
-        }
-        while self.resident + span.len > self.budget && !self.active.is_empty() {
-            self.evict_oldest();
-        }
-        self.advise_in(span);
-        self.active.push_back(span);
-        self.resident += span.len;
-        self.high_water = self.high_water.max(self.resident);
-    }
-
-    /// Declares a range that must stay resident for the window's whole
-    /// lifetime (e.g. the offsets section, consulted on every row
-    /// access). Pinned spans are charged against the budget but never
-    /// evicted and never swept by [`Window::release_section`]; only
+    /// Advises `bytes` in for the window's whole lifetime (e.g. the
+    /// offsets section, consulted on every row access). Pinned ranges
+    /// are never swept by [`Window::for_chunks`]; only
     /// [`Window::release_all`] drops them.
     pub fn pin<T>(&mut self, bytes: &[T]) {
-        let len = std::mem::size_of_val(bytes);
-        if len == 0 {
-            return;
-        }
-        let span = Span::around(bytes.as_ptr() as usize, len);
-        if self.pinned.contains(&span) {
-            return;
-        }
-        self.advise_in(span);
-        self.pinned.push(span);
-        self.resident += span.len;
-        self.high_water = self.high_water.max(self.resident);
-    }
-
-    /// Charges `len` bytes of untracked residency (stray demand-paged
-    /// reads outside any declared window — e.g. random foreign-row probes
-    /// during the peel). The caller polls [`Window::over_budget`] and
-    /// flushes with [`Window::release_section`] when the estimate runs
-    /// over; the charge is conservative (shared pages double-count).
-    pub fn note(&mut self, len: usize) {
-        self.resident += len;
-        self.high_water = self.high_water.max(self.resident);
-    }
-
-    /// [`Window::note`] for a slice, charged at fault-around granularity
-    /// ([`FAULT_CLUSTER_BYTES`]): a stray read of a 40-byte row faults
-    /// one page, and the kernel's fault-around then maps every cached
-    /// neighbor page in the surrounding cluster. Charging raw byte
-    /// lengths (or even single pages) undercounts what the fault really
-    /// made resident and lets RSS blow past the budget between flushes.
-    pub fn note_span<T>(&mut self, bytes: &[T]) {
-        let len = std::mem::size_of_val(bytes);
-        if len == 0 {
-            return;
-        }
-        let ptr = bytes.as_ptr() as usize;
-        let start = ptr - ptr % FAULT_CLUSTER_BYTES;
-        let end = (ptr + len).next_multiple_of(FAULT_CLUSTER_BYTES);
-        self.note(end - start);
-    }
-
-    /// True when the tracked residency (windows + noted strays) exceeds
-    /// the budget.
-    pub fn over_budget(&self) -> bool {
-        self.resident > self.budget
-    }
-
-    /// Releases one declared window (`MADV_DONTNEED` its page-rounded
-    /// range). Unknown ranges are a no-op.
-    pub fn release<T>(&mut self, bytes: &[T]) {
-        let len = std::mem::size_of_val(bytes);
-        if len == 0 {
-            return;
-        }
-        let span = Span::around(bytes.as_ptr() as usize, len);
-        if let Some(at) = self.active.iter().position(|&s| s == span) {
-            self.active.remove(at);
-            self.resident -= span.len;
-            self.advise_out(span);
+        if let Some(span) = Span::of(bytes) {
+            if !self.pinned.contains(&span) {
+                self.advise(span, Advice::WillNeed);
+                self.pinned.push(span);
+            }
         }
     }
 
-    /// Releases every declared window — pins included — and zeroes the
-    /// stray-residency charge.
+    /// Advises every pinned range out.
     pub fn release_all(&mut self) {
-        while let Some(span) = self.active.pop_front() {
-            self.advise_out(span);
-        }
         for span in std::mem::take(&mut self.pinned) {
-            self.advise_out(span);
+            self.advise(span, Advice::DontNeed);
         }
-        self.resident = 0;
     }
 
     /// Drops an entire backing section from residency (`MADV_DONTNEED`
-    /// over the whole range) — the bulk reset the peel uses after random
-    /// foreign-row probes have scattered pages outside any window. Also
-    /// forgets any declared windows inside the section and zeroes the
-    /// stray charge, so callers re-`need` their shard afterwards. Pinned
-    /// spans keep their charge (callers must not flush a section they
-    /// pinned — pinned pages would refault on next access).
+    /// over the whole range). Callers must not flush a section they
+    /// pinned: its pages would refault on the next access.
     pub fn release_section<T>(&mut self, section: &[T]) {
-        let len = std::mem::size_of_val(section);
-        if len == 0 {
-            return;
+        if let Some(span) = Span::of(section) {
+            self.advise(span, Advice::DontNeed);
         }
-        let span = Span::around(section.as_ptr() as usize, len);
-        self.active
-            .retain(|s| s.addr >= span.addr + span.len || s.addr + s.len <= span.addr);
-        self.resident = self.active.iter().map(|s| s.len).sum::<usize>()
-            + self.pinned.iter().map(|s| s.len).sum::<usize>();
-        self.advise_out(span);
-    }
-
-    /// Splits the unpinned remainder of this window's budget into `parts`
-    /// equal sub-accountants, one per concurrent worker. Each sub-window
-    /// starts empty and enforces its share independently, so the *sum* of
-    /// what the workers keep resident stays under this window's budget:
-    /// `parts × ((budget − pinned) / parts) + pinned ≤ budget`. The
-    /// parent's pinned spans stay charged here (they are shared by every
-    /// worker, not duplicated). Fold the sub-windows back with
-    /// [`Window::absorb`] at the fork-join barrier.
-    ///
-    /// Sub-budgets are floored at one page — [`Window::new`] does the same
-    /// — so a pathologically small parent budget degrades to page-sized
-    /// sub-windows rather than zero; the floor can nominally overshoot the
-    /// parent budget only when `budget / parts` is below a page, where the
-    /// budget was never enforceable to begin with.
-    pub fn partition(&self, parts: usize) -> Vec<Window> {
-        let parts = parts.max(1);
-        let pinned: usize = self.pinned.iter().map(|s| s.len).sum();
-        let each = self.budget.saturating_sub(pinned) / parts;
-        (0..parts).map(|_| Window::new(each, self.mapped)).collect()
-    }
-
-    /// Folds sub-windows from [`Window::partition`] back into this one at
-    /// a fork-join barrier: lifetime stats are summed, and the high-water
-    /// mark is raised conservatively to `resident + Σ sub high-waters` —
-    /// the workers ran concurrently, so the worst case is every sub-window
-    /// at its own peak at once. Any span a worker left declared is
-    /// released here (workers are expected to have drained their windows
-    /// before the barrier; the release makes the accounting — and the
-    /// kernel advice — correct even if one did not).
-    pub fn absorb(&mut self, parts: Vec<Window>) {
-        let mut concurrent_peak = 0usize;
-        for mut p in parts {
-            p.release_all();
-            concurrent_peak += p.high_water;
-            self.stats.advised_bytes += p.stats.advised_bytes;
-            self.stats.released_bytes += p.stats.released_bytes;
-            self.stats.evictions += p.stats.evictions;
-            self.stats.oversized_windows += p.stats.oversized_windows;
-        }
-        self.high_water = self.high_water.max(self.resident + concurrent_peak);
-    }
-
-    /// Bytes currently accounted resident (declared windows plus noted
-    /// strays).
-    pub fn resident_bytes(&self) -> usize {
-        self.resident
-    }
-
-    /// The largest resident total ever accounted.
-    pub fn high_water_bytes(&self) -> usize {
-        self.high_water
-    }
-
-    /// Lifetime counters.
-    pub fn stats(&self) -> WindowStats {
-        self.stats
     }
 
     /// Streams `data` through the window in `chunk_bytes`-sized pieces:
     /// each chunk is advised in, handed to `f(first_index, chunk)`, and
-    /// advised back out — a `scan(N)` whose resident footprint is one
+    /// advised back out, a `scan(N)` whose resident footprint is one
     /// chunk. This is how the external engines read GR2 sections instead
     /// of re-parsing scratch records.
     pub fn for_chunks<T, F>(&mut self, data: &[T], chunk_bytes: usize, mut f: F)
@@ -322,68 +129,51 @@ impl Window {
         while at < data.len() {
             let end = (at + per).min(data.len());
             let chunk = &data[at..end];
-            self.need(chunk);
+            let span = Span::of(chunk);
+            if let Some(span) = span {
+                self.advise(span, Advice::WillNeed);
+            }
             f(at, chunk);
-            self.release(chunk);
+            if let Some(span) = span {
+                self.advise(span, Advice::DontNeed);
+            }
             at = end;
         }
     }
 
-    fn evict_oldest(&mut self) {
-        if let Some(span) = self.active.pop_front() {
-            self.resident = self.resident.saturating_sub(span.len);
-            self.stats.evictions += 1;
-            self.advise_out(span);
-        }
-    }
-
-    fn advise_in(&mut self, span: Span) {
-        self.stats.advised_bytes += span.len as u64;
-        self.advise(span, true);
-    }
-
-    fn advise_out(&mut self, span: Span) {
-        self.stats.released_bytes += span.len as u64;
-        self.advise(span, false);
-    }
-
     #[cfg(target_os = "linux")]
-    fn advise_mode(&self, span: Span) {
+    fn advise(&self, span: Span, advice: Advice) {
+        use crate::mmap::sys;
         if !self.mapped {
             return;
         }
-        unsafe {
-            crate::mmap::sys::madvise(
-                span.addr as *mut std::os::raw::c_void,
-                span.len,
-                crate::mmap::sys::MADV_RANDOM,
-            );
-        }
-    }
-
-    #[cfg(not(target_os = "linux"))]
-    fn advise_mode(&self, _span: Span) {}
-
-    #[cfg(target_os = "linux")]
-    fn advise(&self, span: Span, need: bool) {
-        if !self.mapped {
-            return;
-        }
-        let advice = if need {
-            crate::mmap::sys::MADV_WILLNEED
-        } else {
-            crate::mmap::sys::MADV_DONTNEED
+        let advice = match advice {
+            Advice::Random => sys::MADV_RANDOM,
+            Advice::WillNeed => sys::MADV_WILLNEED,
+            Advice::DontNeed => sys::MADV_DONTNEED,
         };
+        // SAFETY: `mapped` windows are only handed slices of a live
+        // private file mapping, where `MADV_DONTNEED` drops pages that
+        // refault unchanged from the file and the other advice only
+        // steers readahead; no memory the program owns is altered.
         // Advice is a hint: a failure (foreign page size, unmapped hole)
         // costs correctness nothing, so the result is deliberately
         // ignored.
         unsafe {
-            crate::mmap::sys::madvise(span.addr as *mut std::os::raw::c_void, span.len, advice);
+            sys::madvise(span.addr as *mut std::os::raw::c_void, span.len, advice);
         }
     }
 
     #[cfg(not(target_os = "linux"))]
-    fn advise(&self, _span: Span, _need: bool) {}
+    fn advise(&self, _span: Span, _advice: Advice) {}
+}
+
+/// The `madvise` advice a [`Window`] issues.
+#[derive(Debug, Clone, Copy)]
+enum Advice {
+    Random,
+    WillNeed,
+    DontNeed,
 }
 
 #[cfg(test)]
@@ -391,173 +181,30 @@ mod tests {
     use super::*;
 
     #[test]
-    fn accounting_tracks_pages_not_bytes() {
-        let data = vec![0u8; 3 * PAGE_BYTES];
-        let mut w = Window::new(1 << 20, false);
-        w.need(&data[10..20]); // straddles one page (maybe two)
-        assert!(w.resident_bytes() >= PAGE_BYTES);
-        assert!(w.resident_bytes() <= 2 * PAGE_BYTES);
-        assert!(w.resident_bytes().is_multiple_of(PAGE_BYTES));
-        w.release(&data[10..20]);
-        assert_eq!(w.resident_bytes(), 0);
-        assert!(w.high_water_bytes() >= PAGE_BYTES);
-    }
-
-    #[test]
-    fn eviction_is_fifo_and_respects_budget() {
-        let data = vec![0u8; 64 * PAGE_BYTES];
-        let mut w = Window::new(4 * PAGE_BYTES, false);
-        for i in 0..8 {
-            w.need(&data[i * 8 * PAGE_BYTES..i * 8 * PAGE_BYTES + PAGE_BYTES]);
-            assert!(w.resident_bytes() <= w.budget(), "window {i}");
-        }
-        // Unaligned slices round to one or two pages each, so the exact
-        // count depends on the Vec's base address; the invariants do not.
-        assert!(w.stats().evictions >= 4);
-        assert!(w.resident_bytes() <= 4 * PAGE_BYTES);
-        assert!(w.resident_bytes() > 0);
-        w.release_all();
-        assert_eq!(w.resident_bytes(), 0);
-    }
-
-    #[test]
-    fn oversized_windows_are_admitted_and_counted() {
-        let data = vec![0u8; 16 * PAGE_BYTES];
-        let mut w = Window::new(PAGE_BYTES, false);
-        w.need(&data[..]);
-        assert_eq!(w.stats().oversized_windows, 1);
-        assert!(w.resident_bytes() >= data.len());
-        w.release_all();
-        assert_eq!(w.resident_bytes(), 0);
-    }
-
-    #[test]
-    fn strays_and_section_flush() {
-        let data = vec![0u64; PAGE_BYTES];
-        let mut w = Window::new(4 * PAGE_BYTES, false);
-        w.need(&data[..128]);
-        w.note(8 * PAGE_BYTES);
-        assert!(w.over_budget());
-        w.release_section(&data[..]);
-        assert_eq!(w.resident_bytes(), 0);
-        assert!(!w.over_budget());
-        // Windows outside the flushed section survive. The probe slice
-        // sits in the interior of its allocation so page-rounding cannot
-        // make it overlap `data`'s section span.
-        let other = vec![0u8; 6 * PAGE_BYTES];
-        w.need(&data[..128]);
-        w.need(&other[2 * PAGE_BYTES..3 * PAGE_BYTES]);
-        w.release_section(&data[..]);
-        assert!(w.resident_bytes() >= PAGE_BYTES);
-        assert!(w.resident_bytes() <= 2 * PAGE_BYTES);
-    }
-
-    #[test]
-    fn for_chunks_visits_everything_in_order_within_budget() {
+    fn for_chunks_visits_everything_in_order() {
         let data: Vec<u32> = (0..100_000u32).collect();
         let mut w = Window::new(8 * PAGE_BYTES, false);
         let mut seen = Vec::new();
         w.for_chunks(&data, 2 * PAGE_BYTES, |base, chunk| {
+            assert_eq!(chunk[0], base as u32);
             seen.push((base, chunk.len()));
         });
         let total: usize = seen.iter().map(|&(_, l)| l).sum();
         assert_eq!(total, data.len());
         assert!(seen.windows(2).all(|p| p[0].0 + p[0].1 == p[1].0));
-        assert_eq!(w.resident_bytes(), 0);
-        assert!(w.high_water_bytes() <= 2 * PAGE_BYTES + 2 * PAGE_BYTES);
+        assert!(seen.iter().all(|&(_, l)| l <= 2 * PAGE_BYTES / 4));
     }
 
     #[test]
-    fn need_is_idempotent_for_live_windows() {
-        let data = vec![0u8; 8 * PAGE_BYTES];
-        let mut w = Window::new(16 * PAGE_BYTES, false);
-        w.need(&data[..PAGE_BYTES]);
-        let r = w.resident_bytes();
-        w.need(&data[..PAGE_BYTES]);
-        assert_eq!(w.resident_bytes(), r);
-        // Re-declaring an *older* window (another need in between) is
-        // also a no-op — the peel re-needs its shard after every flush.
-        w.need(&data[4 * PAGE_BYTES..5 * PAGE_BYTES]);
-        let r = w.resident_bytes();
-        w.need(&data[..PAGE_BYTES]);
-        assert_eq!(w.resident_bytes(), r);
-    }
-
-    #[test]
-    fn pins_survive_eviction_and_section_flush() {
-        let data = vec![0u8; 64 * PAGE_BYTES];
-        let other = vec![0u8; 6 * PAGE_BYTES];
-        let mut w = Window::new(4 * PAGE_BYTES, false);
-        w.pin(&other[2 * PAGE_BYTES..3 * PAGE_BYTES]);
-        let pinned = w.resident_bytes();
-        assert!(pinned >= PAGE_BYTES);
-        // Enough churn to evict everything evictable several times over.
-        for i in 0..8 {
-            w.need(&data[i * 8 * PAGE_BYTES..i * 8 * PAGE_BYTES + PAGE_BYTES]);
-        }
-        assert!(w.resident_bytes() >= pinned);
-        // A bulk flush of `data`'s section leaves the pin charged.
-        w.release_section(&data[..]);
-        assert_eq!(w.resident_bytes(), pinned);
-        // Pinning the same range twice is a no-op.
-        w.pin(&other[2 * PAGE_BYTES..3 * PAGE_BYTES]);
-        assert_eq!(w.resident_bytes(), pinned);
+    fn pins_are_kept_once_until_release_all() {
+        let data = vec![0u8; 6 * PAGE_BYTES];
+        let mut w = Window::new(PAGE_BYTES, false);
+        w.pin(&data[2 * PAGE_BYTES..3 * PAGE_BYTES]);
+        w.pin(&data[2 * PAGE_BYTES..3 * PAGE_BYTES]);
+        w.pin(&data[..0]);
+        assert_eq!(w.pinned.len(), 1);
         w.release_all();
-        assert_eq!(w.resident_bytes(), 0);
-    }
-
-    #[test]
-    fn partition_splits_unpinned_budget_and_absorb_folds_stats() {
-        let pinned = vec![0u8; 4 * PAGE_BYTES];
-        let data = vec![0u8; 64 * PAGE_BYTES];
-        let mut w = Window::new(16 * PAGE_BYTES, false);
-        w.pin(&pinned[PAGE_BYTES..2 * PAGE_BYTES]);
-        let parent_pinned = w.resident_bytes();
-
-        let mut subs = w.partition(4);
-        assert_eq!(subs.len(), 4);
-        // Sum of sub-budgets plus the parent's pinned charge never
-        // exceeds the parent budget.
-        let total: usize = subs.iter().map(|s| s.budget()).sum();
-        assert!(total + parent_pinned <= w.budget());
-
-        // Each sub-window enforces its own share; churn through all of
-        // them as four concurrent workers would.
-        for (i, sub) in subs.iter_mut().enumerate() {
-            for j in 0..8 {
-                let at = (i * 16 + j) * PAGE_BYTES;
-                sub.need(&data[at..at + PAGE_BYTES]);
-                assert!(sub.resident_bytes() <= sub.budget());
-            }
-        }
-        let peak_sum: usize = subs.iter().map(|s| s.high_water_bytes()).sum();
-        let evictions: u64 = subs.iter().map(|s| s.stats().evictions).sum();
-        assert!(evictions > 0, "3-page sub-budgets must evict on 8 needs");
-
-        w.absorb(subs);
-        // Conservative concurrent high-water: parent resident plus the
-        // sum of sub peaks; leftover sub spans were released.
-        assert_eq!(w.high_water_bytes(), parent_pinned + peak_sum);
-        assert_eq!(w.resident_bytes(), parent_pinned);
-        assert_eq!(w.stats().evictions, evictions);
-    }
-
-    #[test]
-    fn partition_of_tiny_budget_floors_at_a_page() {
-        let w = Window::new(PAGE_BYTES, false);
-        let subs = w.partition(8);
-        assert!(subs.iter().all(|s| s.budget() == PAGE_BYTES));
-    }
-
-    #[test]
-    fn note_span_charges_whole_fault_clusters() {
-        let data = vec![0u8; 4 * PAGE_BYTES];
-        let mut w = Window::new(1 << 24, false);
-        // A 10-byte stray row faults a page, and fault-around maps the
-        // surrounding cached cluster.
-        w.note_span(&data[100..110]);
-        assert!(w.resident_bytes() >= FAULT_CLUSTER_BYTES);
-        assert_eq!(w.resident_bytes() % FAULT_CLUSTER_BYTES, 0);
+        assert!(w.pinned.is_empty());
     }
 
     #[cfg(target_os = "linux")]
@@ -575,9 +222,14 @@ mod tests {
         let region = Region::open(&path, LoadMode::Auto).unwrap();
         let bytes = region.as_bytes();
         let mut w = Window::new(2 * PAGE_BYTES, region.region_is_mapped());
-        w.need(&bytes[..PAGE_BYTES]);
+        w.pin(&bytes[..PAGE_BYTES]);
         assert_eq!(&bytes[..16], &payload[..16]);
-        w.need(&bytes[2 * PAGE_BYTES..3 * PAGE_BYTES]);
+        let mut sum = 0u64;
+        w.for_chunks(&bytes[PAGE_BYTES..], PAGE_BYTES, |_, chunk| {
+            sum += chunk.iter().map(|&b| b as u64).sum::<u64>();
+        });
+        assert_eq!(sum, payload[PAGE_BYTES..].iter().map(|&b| b as u64).sum());
+        w.release_section(&bytes[PAGE_BYTES..]);
         w.release_all();
         // MADV_DONTNEED on a private file mapping refaults from the file:
         // the contents must be intact afterwards.

@@ -645,6 +645,64 @@ fn errors_are_reported() {
     assert!(!out.status.success());
 }
 
+/// Overwrites the first `u32` of section `kind` in the GR2 snapshot at
+/// `path`. The header checksum goes stale, so readers must run with
+/// `TRUSS_SKIP_CHECKSUM=1` to get past the open.
+fn patch_first_gr2_word(path: &Path, kind: u32, value: u32) {
+    let mut bytes = std::fs::read(path).unwrap();
+    let u32_at = |b: &[u8], at: usize| u32::from_le_bytes(b[at..at + 4].try_into().unwrap());
+    let entry = (0..u32_at(&bytes, 40) as usize)
+        .map(|i| 56 + 24 * i)
+        .find(|&e| u32_at(&bytes, e) == kind)
+        .expect("section present");
+    let offset = u64::from_le_bytes(bytes[entry + 8..entry + 16].try_into().unwrap()) as usize;
+    bytes[offset..offset + 4].copy_from_slice(&value.to_le_bytes());
+    std::fs::write(path, bytes).unwrap();
+}
+
+/// A snapshot whose rows name a vertex or an edge that does not exist
+/// (and whose checksum is skipped) makes `decompose --algo outofcore`
+/// exit with a typed `corrupt file` error, not a panic or a wrong answer.
+#[test]
+fn outofcore_reports_out_of_range_rows_as_corrupt() {
+    let dir = TempDir::new("outofcore_reports_out_of_range_rows_as_corrupt");
+    let good = dir.join("g.gr2");
+    let out = truss_bin()
+        .args([
+            "generate",
+            "--dataset",
+            "hep",
+            "--scale",
+            "0.03",
+            "--seed",
+            "11",
+        ])
+        .arg(&good)
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    let header = std::fs::read(&good).unwrap();
+    let n = u64::from_le_bytes(header[16..24].try_into().unwrap()) as u32;
+    let m = u64::from_le_bytes(header[24..32].try_into().unwrap()) as u32;
+    // Section 2 holds neighbor ids, section 3 edge ids.
+    for (kind, value, what) in [(2, n + 5, "neighbor id"), (3, m + 7, "edge id")] {
+        let bad = dir.join(format!("bad-{kind}.gr2"));
+        std::fs::copy(&good, &bad).unwrap();
+        patch_first_gr2_word(&bad, kind, value);
+        let out = truss_bin()
+            .args(["decompose", "--algo", "outofcore"])
+            .arg(&bad)
+            .env("TRUSS_SKIP_CHECKSUM", "1")
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert_eq!(out.status.code(), Some(1), "{what}: {stderr}");
+        assert!(stderr.contains("corrupt file"), "{what}: {stderr}");
+        assert!(stderr.contains(what), "{stderr}");
+        assert!(!stderr.contains("panicked"), "{stderr}");
+    }
+}
+
 /// `--query status --report json` against a WAL daemon emits the full
 /// durability block as one flat JSON line (the shape `repro_ingest` and
 /// the CI recovery-smoke job parse).

@@ -181,9 +181,15 @@ fn parallel_engine_matches_serial_across_thread_counts() {
 /// still catches lost or double-applied cross-shard decrements, which
 /// manifest as thread-count-dependent output. Widths beyond the machine
 /// (the pool is unclamped inside the engine) are included deliberately.
+/// Each graph runs from the heap (rows copied as slices) and as a mapped
+/// GR2 snapshot (rows copied with positioned reads on the file).
 #[test]
 fn outofcore_engine_matches_serial_across_thread_counts() {
+    use truss_decomposition::storage::{
+        open_graph_snapshot, write_graph_snapshot, LoadMode, ScratchDir,
+    };
     let engines = registry();
+    let scratch = ScratchDir::new().unwrap();
     for (name, g) in suite() {
         let exact = run(
             &engines,
@@ -192,28 +198,30 @@ fn outofcore_engine_matches_serial_across_thread_counts() {
             &config_with_budget(1 << 20),
             &name,
         );
+        let path = scratch.file(&format!("{name}.gr2"));
+        write_graph_snapshot(&g, std::fs::File::create(&path).unwrap()).unwrap();
+        let mapped = open_graph_snapshot(&path, LoadMode::Auto).unwrap();
         let mut previous: Option<Vec<u32>> = None;
-        for threads in [1usize, 2, 4, 8] {
-            let mut config = config_with_budget(1 << 20);
-            config.threads = threads;
-            let engine = engines.get(AlgorithmKind::OutOfCore).expect("registered");
-            let (d, report) = engine
-                .run(EngineInput::Graph(&g), &config)
-                .unwrap_or_else(|e| panic!("{name}@{threads}: {e}"));
-            assert_eq!(report.threads_used, threads, "{name}@{threads}");
-            assert_eq!(
-                d.trussness(),
-                exact.trussness(),
-                "{name}: outofcore@{threads} vs inmem+"
-            );
-            if let Some(prev) = &previous {
-                assert_eq!(
-                    d.trussness(),
-                    prev.as_slice(),
-                    "{name}: outofcore@{threads} not byte-identical to previous width"
-                );
+        for (input, graph) in [("heap", &g), ("gr2", &mapped)] {
+            for threads in [1usize, 2, 4, 8] {
+                let at = format!("{name}/{input}@{threads}");
+                let mut config = config_with_budget(1 << 20);
+                config.threads = threads;
+                let engine = engines.get(AlgorithmKind::OutOfCore).expect("registered");
+                let (d, report) = engine
+                    .run(EngineInput::Graph(graph), &config)
+                    .unwrap_or_else(|e| panic!("{at}: {e}"));
+                assert_eq!(report.threads_used, threads, "{at}");
+                assert_eq!(d.trussness(), exact.trussness(), "{at}: vs inmem+");
+                if let Some(prev) = &previous {
+                    assert_eq!(
+                        d.trussness(),
+                        prev.as_slice(),
+                        "{at}: not byte-identical to the previous run"
+                    );
+                }
+                previous = Some(d.trussness().to_vec());
             }
-            previous = Some(d.trussness().to_vec());
         }
     }
 }

@@ -223,6 +223,38 @@ fn graph_v1_v2_migration_is_bit_identical() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// Rows are copied out of a mapped snapshot with positioned reads, so a
+/// file truncated after it was mapped fails the copy with an error
+/// instead of raising SIGBUS on a mapped page past the new end.
+#[test]
+fn copy_rows_on_a_truncated_snapshot_is_an_error() {
+    use truss_decomposition::storage::{self, LoadMode};
+    let g = gen::erdos_renyi::gnm(70, 400, 35);
+    let dir = std::env::temp_dir().join(format!("truss-fmt-truncate-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("g.gr2");
+    storage::write_graph_snapshot(&g, std::fs::File::create(&path).unwrap()).unwrap();
+    let mapped = storage::open_graph_snapshot(&path, LoadMode::Auto).unwrap();
+    let n = mapped.num_vertices() as u32;
+    let (mut nbrs, mut eids) = (Vec::new(), Vec::new());
+    mapped.copy_rows(0, n, &mut nbrs, &mut eids).unwrap();
+    assert_eq!(nbrs, g.neighbors_section().as_slice());
+    assert_eq!(eids, g.edge_ids_section().as_slice());
+
+    let len = std::fs::metadata(&path).unwrap().len();
+    std::fs::OpenOptions::new()
+        .write(true)
+        .open(&path)
+        .unwrap()
+        .set_len(len / 2)
+        .unwrap();
+    if mapped.is_mapped() {
+        assert!(mapped.copy_rows(0, n, &mut nbrs, &mut eids).is_err());
+    }
+    drop(mapped);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 /// The same bit-identical migration for index files, through the typed
 /// TrussIndex save/load API the CLI `truss convert` uses.
 #[test]

@@ -225,11 +225,11 @@ proptest! {
     }
 }
 
-/// Runs the windowed, sharded support-init pass on `threads` workers with
-/// a `filter_bytes` edge filter and returns the per-edge supports it left
-/// in the spilled state file. A deliberately tiny window budget and
-/// spill-buffer cap force evictions and disk traffic even on
-/// proptest-sized graphs.
+/// Runs the sharded support-init pass on `threads` workers with a
+/// `filter_bytes` edge filter and returns the per-edge supports it left
+/// in the spilled state file. A deliberately tiny scan window and
+/// spill-buffer cap force many filter-scan chunks and disk traffic even
+/// on proptest-sized graphs.
 fn outofcore_supports(
     g: &CsrGraph,
     shards: usize,
@@ -272,7 +272,7 @@ fn smallest_filter(g: &CsrGraph) -> usize {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// The windowed, sharded support init computes exactly the in-memory
+    /// The sharded support init computes exactly the in-memory
     /// triangle counts on random ER graphs, for every shard count —
     /// in-shard closures, cross-shard probes and spilled increments
     /// included.
@@ -303,43 +303,14 @@ proptest! {
     }
 
     /// The shard-parallel support pass is exact at every worker width:
-    /// per-worker spill-bucket sets and window sub-accountants commute
-    /// with the serial result regardless of which worker claims which
-    /// shard from the cursor.
+    /// per-worker spill-bucket sets commute with the serial result
+    /// regardless of which worker claims which shard from the cursor.
     #[test]
     fn parallel_supports_match_serial(g in arb_graph(48, 400)) {
         let expected = edge_supports(&g);
         for threads in [2usize, 4] {
             let got = outofcore_supports(&g, 5, 4096, threads, smallest_filter(&g));
             prop_assert_eq!(&got, &expected, "threads = {}", threads);
-        }
-    }
-
-    /// `Window::partition` never hands out more aggregate budget than the
-    /// parent enforces: `Σ sub-budgets + pinned ≤ budget`, except where
-    /// the documented one-page floor per sub-window already exceeds the
-    /// parent's (unenforceably small) share.
-    #[test]
-    fn window_partition_respects_global_budget(
-        budget in 1usize..1 << 24,
-        parts in 1usize..16,
-    ) {
-        const PAGE: usize = 4096;
-        let parent = Window::new(budget, false);
-        let subs = parent.partition(parts);
-        prop_assert_eq!(subs.len(), parts);
-        let total: usize = subs.iter().map(Window::budget).sum();
-        let enforced = parent.budget(); // `new` floors the parent at one page too
-        if enforced / parts >= PAGE {
-            prop_assert!(
-                total <= enforced,
-                "sum of sub-budgets {} exceeds parent budget {}",
-                total, enforced
-            );
-        } else {
-            // Below a page per worker the floor takes over; the overshoot
-            // is bounded by one page per sub-window.
-            prop_assert!(total <= parts * PAGE);
         }
     }
 
@@ -358,8 +329,8 @@ proptest! {
     }
 
     /// Same on R-MAT graphs: the skewed degree distribution concentrates
-    /// edges into few shards (some end up empty) and stresses the
-    /// oversized-window path for hub rows.
+    /// edges into few shards (some end up empty) and gives hub rows far
+    /// longer than the average.
     #[test]
     fn outofcore_matches_inmemory_on_rmat(seed in 0u64..1u64 << 32) {
         let g = rmat(RmatConfig::skewed(7, 900), seed);
