@@ -38,7 +38,13 @@
 //! Shutdown (SIGTERM/SIGINT via [`crate::signal`], or a
 //! [`Request::Shutdown`] frame) is graceful: readers finish buffered
 //! requests and close, the writer drains queued updates, then all
-//! threads join and [`ServerHandle::join`] returns.
+//! threads join and [`ServerHandle::join`] returns. Nothing polls: under
+//! the connection-registry lock, shutdown sets the flag and shuts the read
+//! side of every open connection (a blocked `read` returns end-of-file),
+//! then connects once per reader (a blocked `accept` returns). A reader
+//! registers a new connection under that lock and drops it if the flag
+//! is set, or no one would ever wake its `read`. The writer blocks in
+//! `recv` and exits once the last reader drops its sender.
 
 use crate::answer::answer;
 use crate::proto::{
@@ -46,20 +52,16 @@ use crate::proto::{
     StatusSummary, UpdateSummary, MAX_REQUEST_FRAME,
 };
 use std::io::Read;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{self, RecvTimeoutError, Sender};
-use std::sync::{Arc, RwLock};
+use std::sync::mpsc::{self, Sender};
+use std::sync::{Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
-use std::time::Duration;
 use truss_core::index::TrussIndex;
 use truss_graph::EdgeDelta;
 use truss_storage::wal::{plan_recovery, scan_wal, truncate_torn_tail, WalWriter};
 use truss_storage::{atomic_replace, atomic_replace_with, LoadMode};
-
-/// How long blocked readers/writer sleep between shutdown-flag checks.
-const POLL: Duration = Duration::from_millis(50);
 
 /// One immutable served snapshot generation.
 pub struct Generation {
@@ -143,6 +145,9 @@ struct Durability {
 struct Shared {
     current: RwLock<Arc<Generation>>,
     shutdown: AtomicBool,
+    /// Each reader's open connection; shutdown half-closes them.
+    conns: Mutex<Vec<Option<Arc<TcpStream>>>>,
+    addr: SocketAddr,
     threads: u32,
     /// Requests answered (all kinds), for diagnostics.
     served: AtomicU64,
@@ -156,6 +161,37 @@ impl Shared {
 
     fn shutting_down(&self) -> bool {
         self.shutdown.load(Ordering::SeqCst)
+    }
+
+    /// Sets the shutdown flag and wakes every reader (see the module docs).
+    fn begin_shutdown(&self) {
+        {
+            let conns = self.conns.lock().expect("connection registry");
+            if self.shutdown.swap(true, Ordering::SeqCst) {
+                return;
+            }
+            for conn in conns.iter().flatten() {
+                let _ = conn.shutdown(Shutdown::Read);
+            }
+        }
+        let mut wake = self.addr;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        for _ in 0..self.threads {
+            let _ = TcpStream::connect(wake);
+        }
+    }
+
+    /// Records reader `slot`'s open connection (`None` once it closed);
+    /// false, recording nothing, once shutdown has begun.
+    fn track(&self, slot: usize, conn: Option<&Arc<TcpStream>>) -> bool {
+        let mut conns = self.conns.lock().expect("connection registry");
+        conns[slot] = conn.filter(|_| !self.shutting_down()).cloned();
+        conns[slot].is_some()
     }
 
     fn status(&self, gen: &Generation) -> StatusSummary {
@@ -188,7 +224,6 @@ struct WriteJob {
 /// call [`ServerHandle::shutdown`] (or send a [`Request::Shutdown`]
 /// frame) for a graceful stop.
 pub struct ServerHandle {
-    addr: SocketAddr,
     shared: Arc<Shared>,
     threads: Vec<JoinHandle<()>>,
 }
@@ -197,7 +232,7 @@ impl ServerHandle {
     /// The bound address (resolves `--port 0` to the real ephemeral
     /// port).
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.shared.addr
     }
 
     /// Current (generation number, checksum).
@@ -220,7 +255,7 @@ impl ServerHandle {
 
     /// Signals shutdown without waiting.
     pub fn trigger_shutdown(&self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
+        self.shared.begin_shutdown();
     }
 
     /// True once every server thread has exited (e.g. after a remote
@@ -313,7 +348,6 @@ impl Server {
         };
 
         let listener = TcpListener::bind(bind)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let threads = config.threads.max(1);
         let shared = Arc::new(Shared {
@@ -323,6 +357,8 @@ impl Server {
                 checksum: serve_checksum,
             })),
             shutdown: AtomicBool::new(false),
+            conns: Mutex::new(vec![None; threads]),
+            addr,
             threads: threads as u32,
             served: AtomicU64::new(0),
             durability,
@@ -357,11 +393,10 @@ impl Server {
             handles.push(
                 std::thread::Builder::new()
                     .name(format!("truss-serve-reader-{i}"))
-                    .spawn(move || reader_loop(listener, shared, writer_tx))?,
+                    .spawn(move || reader_loop(i, listener, shared, writer_tx))?,
             );
         }
         Ok(ServerHandle {
-            addr,
             shared,
             threads: handles,
         })
@@ -447,32 +482,14 @@ struct WalState {
     compact_bytes: u64,
 }
 
+/// Runs until every reader has exited (dropping its sender) and the
+/// queue is drained.
 fn writer_loop(rx: mpsc::Receiver<WriteJob>, shared: Arc<Shared>, mut ctx: WriterCtx) {
-    loop {
-        let job = match rx.recv_timeout(POLL) {
-            Ok(job) => job,
-            Err(RecvTimeoutError::Timeout) => {
-                if shared.shutting_down() {
-                    // Drain whatever is still queued, then exit.
-                    let mut tail = Vec::new();
-                    while let Ok(job) = rx.try_recv() {
-                        tail.push(job);
-                    }
-                    if !tail.is_empty() {
-                        dispatch(tail, &shared, &mut ctx);
-                    }
-                    return;
-                }
-                continue;
-            }
-            Err(RecvTimeoutError::Disconnected) => return,
-        };
+    while let Ok(job) = rx.recv() {
         // Group commit: everything already queued behind this job rides
         // the same fsync.
         let mut batch = vec![job];
-        while let Ok(next) = rx.try_recv() {
-            batch.push(next);
-        }
+        batch.extend(rx.try_iter());
         dispatch(batch, &shared, &mut ctx);
     }
 }
@@ -754,30 +771,22 @@ fn compact(gen: &Generation, wal: &mut WalState, path: &Path) -> Result<(), Stri
 // ---------------------------------------------------------------------------
 // Readers
 
-fn reader_loop(listener: TcpListener, shared: Arc<Shared>, writer_tx: Sender<WriteJob>) {
-    loop {
-        if shared.shutting_down() {
-            return;
-        }
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                // The listener is non-blocking (for shutdown polling);
-                // the accepted stream must not be.
-                if stream.set_nonblocking(false).is_err() {
-                    continue;
-                }
-                handle_conn(stream, &shared, &writer_tx);
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => std::thread::sleep(POLL),
-            Err(_) => std::thread::sleep(POLL),
+fn reader_loop(slot: usize, listener: TcpListener, shared: Arc<Shared>, tx: Sender<WriteJob>) {
+    while !shared.shutting_down() {
+        let Ok((stream, _peer)) = listener.accept() else {
+            continue;
+        };
+        let stream = Arc::new(stream);
+        if shared.track(slot, Some(&stream)) {
+            handle_conn(&stream, &shared, &tx);
+            shared.track(slot, None);
         }
     }
 }
 
 /// Serves one connection until EOF, error, an unrecoverable framing
 /// violation, or shutdown (which still drains fully buffered requests).
-fn handle_conn(mut stream: TcpStream, shared: &Shared, writer_tx: &Sender<WriteJob>) {
-    let _ = stream.set_read_timeout(Some(POLL));
+fn handle_conn(mut stream: &TcpStream, shared: &Shared, writer_tx: &Sender<WriteJob>) {
     let _ = stream.set_nodelay(true);
     let mut buf: Vec<u8> = Vec::new();
     let mut chunk = [0u8; 64 * 1024];
@@ -817,9 +826,6 @@ fn handle_conn(mut stream: TcpStream, shared: &Shared, writer_tx: &Sender<WriteJ
         match stream.read(&mut chunk) {
             Ok(0) => return,
             Ok(n) => buf.extend_from_slice(&chunk[..n]),
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut => {}
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
             Err(_) => return,
         }
@@ -853,7 +859,7 @@ fn handle_request(body: &[u8], shared: &Shared, writer_tx: &Sender<WriteJob>) ->
     match req {
         Request::Status => (reply_with(Ok(Response::Status(shared.status(&gen)))), false),
         Request::Shutdown => {
-            shared.shutdown.store(true, Ordering::SeqCst);
+            shared.begin_shutdown();
             (reply_with(Ok(Response::ShuttingDown)), true)
         }
         Request::Update {

@@ -1,7 +1,9 @@
 //! Minimal SIGINT/SIGTERM latch, no libc crate: the same direct
 //! `extern "C"` idiom the storage crate uses for `mmap`. The handler
 //! only flips an [`AtomicBool`] (the one async-signal-safe thing a Rust
-//! handler can safely do); the serve loop polls it between waits.
+//! handler can safely do); the CLI's `truss serve` main loop polls it
+//! and then asks the daemon to shut down. The daemon's own threads never
+//! poll.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 

@@ -10,9 +10,10 @@
 //! ladder. `--compact-bytes 1` forces a compaction after every commit,
 //! so the compaction sites fire on a live log, not a synthetic one.
 
-use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
-use std::time::Duration;
+mod common;
+
+use common::{Daemon, TempDir};
+use std::path::Path;
 use truss_decomposition::core::index::TrussIndex;
 use truss_decomposition::graph::generators::gnm;
 use truss_decomposition::graph::{CsrGraph, Edge, EdgeDelta};
@@ -21,35 +22,6 @@ use truss_decomposition::serve::server::index_checksum;
 use truss_decomposition::serve::{Client, Request, Response};
 
 const BATCHES: usize = 6;
-
-fn truss_bin() -> Command {
-    Command::new(env!("CARGO_BIN_EXE_truss"))
-}
-
-fn free_port() -> u16 {
-    std::net::TcpListener::bind("127.0.0.1:0")
-        .unwrap()
-        .local_addr()
-        .unwrap()
-        .port()
-}
-
-fn temp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("truss-recovery-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
-fn connect_retry(addr: &str) -> Client {
-    for _ in 0..200 {
-        if let Ok(c) = Client::connect(addr) {
-            return c;
-        }
-        std::thread::sleep(Duration::from_millis(20));
-    }
-    panic!("could not connect to {addr}");
-}
 
 /// Batch `i` inserts a 6-clique on fresh vertices and removes a disjoint
 /// slice of base edges — the same order-insensitive stream the serve
@@ -85,17 +57,17 @@ fn expected_checksums(base: &TrussIndex, deltas: &[EdgeDelta]) -> Vec<u64> {
     checksums
 }
 
-fn spawn_serve(index: &Path, wal: &Path, port: u16, failpoints: Option<&str>) -> Child {
-    let mut cmd = truss_bin();
-    cmd.args(["serve", "--port", &port.to_string(), "--threads", "2"])
-        .args(["--wal", wal.to_str().unwrap(), "--compact-bytes", "1"])
-        .arg(index)
-        .stdout(Stdio::null())
-        .stderr(Stdio::null());
-    if let Some(spec) = failpoints {
-        cmd.env("TRUSS_FAILPOINTS", spec);
-    }
-    cmd.spawn().unwrap()
+fn spawn_serve(index: &str, wal: &str, failpoints: Option<&str>) -> Daemon {
+    let args = [
+        "--threads",
+        "2",
+        "--wal",
+        wal,
+        "--compact-bytes",
+        "1",
+        index,
+    ];
+    Daemon::spawn(&args, failpoints).unwrap()
 }
 
 fn remote_status(client: &mut Client) -> (u64, u64, StatusSummary) {
@@ -131,40 +103,38 @@ fn stream_until_crash(client: &mut Client, deltas: &[EdgeDelta]) -> (u64, usize)
 /// Returns the recovery stats of the restarted daemon for site-specific
 /// assertions.
 fn run_site(tag: &str, spec: &str, expect_abort: bool) -> StatusSummary {
-    let dir = temp_dir(tag);
-    let snapshot = dir.join("idx.t2");
-    let wal = dir.join("idx.log");
+    let dir = TempDir::new(&format!("recovery-{tag}"));
+    let snapshot = &dir.file("idx.t2");
+    let wal = &dir.file("idx.log");
 
     let base_graph = gnm(200, 900, 0xDEAD + tag.len() as u64);
     let base = TrussIndex::from_decompose(base_graph.clone());
     let deltas = delta_stream(&base_graph, BATCHES);
     let checksums = expected_checksums(&base, &deltas);
-    base.save(&snapshot).unwrap();
+    base.save(Path::new(snapshot)).unwrap();
 
-    let port = free_port();
-    let mut child = spawn_serve(&snapshot, &wal, port, Some(spec));
-    let mut client = connect_retry(&format!("127.0.0.1:{port}"));
+    let mut daemon = spawn_serve(snapshot, wal, Some(spec));
+    let mut client = daemon.client();
     let (acked, sent) = stream_until_crash(&mut client, &deltas);
     drop(client);
     if expect_abort {
-        let status = child.wait().unwrap();
+        let status = daemon.wait();
         assert!(!status.success(), "{spec}: daemon must abort, got {status}");
     } else {
         // Poisoned, not dead: reads still work, then kill it hard.
-        let mut client = connect_retry(&format!("127.0.0.1:{port}"));
+        let mut client = daemon.client();
         let (_, _, s) = remote_status(&mut client);
         assert!(s.wal_poisoned, "{spec}: writer must be poisoned");
         assert!(
             client.request(&Request::Spectrum).unwrap().body.is_ok(),
             "{spec}: reads must survive a poisoned writer"
         );
-        kill9(&mut child);
+        drop(daemon); // SIGKILL, then reap
     }
 
     // Restart with no failpoints over whatever the crash left behind.
-    let port = free_port();
-    let mut child = spawn_serve(&snapshot, &wal, port, None);
-    let mut client = connect_retry(&format!("127.0.0.1:{port}"));
+    let mut daemon = spawn_serve(snapshot, wal, None);
+    let mut client = daemon.client();
     let (gen, checksum, stats) = remote_status(&mut client);
     assert!(
         acked <= gen && gen <= sent as u64,
@@ -196,14 +166,8 @@ fn run_site(tag: &str, spec: &str, expect_abort: bool) -> StatusSummary {
         );
     }
     let _ = client.request(&Request::Shutdown);
-    let _ = child.wait();
-    let _ = std::fs::remove_dir_all(&dir);
+    let _ = daemon.wait();
     stats
-}
-
-fn kill9(child: &mut Child) {
-    let _ = child.kill();
-    let _ = child.wait();
 }
 
 /// Crash sites in the append/ack path. `@2` arms mid-stream so at least

@@ -1,30 +1,27 @@
 //! End-to-end tests of the serving layer: a concurrency hammer over an
-//! in-process daemon, crash-injection around snapshot rotation, and the
-//! golden local-vs-remote CLI output comparison.
+//! in-process daemon, graceful shutdown with no lost wake, crash-injection
+//! around snapshot rotation, and the golden local-vs-remote CLI output
+//! comparison.
 
+mod common;
+
+use common::{truss_ok, Daemon, TempDir};
 use std::collections::BTreeSet;
-use std::net::TcpListener;
+use std::io::{Read, Write};
+use std::net::TcpStream;
 use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::time::Duration;
 use truss_decomposition::core::index::{IndexFormat, TrussIndex};
 use truss_decomposition::graph::generators::gnm;
 use truss_decomposition::graph::{CsrGraph, Edge, EdgeDelta};
-use truss_decomposition::serve::proto::GENERATION_ANY;
+use truss_decomposition::serve::proto::{
+    decode_reply, encode_request, read_frame, write_frame, GENERATION_ANY, MAX_RESPONSE_FRAME,
+};
 use truss_decomposition::serve::server::index_checksum;
-use truss_decomposition::serve::{answer, Client, Request, Response, ServeConfig, Server};
-
-/// Connects with retries — the peer may still be binding its listener.
-fn connect_retry(addr: &str) -> Client {
-    for _ in 0..200 {
-        if let Ok(c) = Client::connect(addr) {
-            return c;
-        }
-        std::thread::sleep(Duration::from_millis(20));
-    }
-    panic!("could not connect to {addr}");
-}
+use truss_decomposition::serve::{
+    answer, Client, Request, Response, ServeConfig, Server, ServerHandle, WalConfig,
+};
 
 /// The delta stream the writer applies: batch `i` inserts a 6-clique on
 /// vertices `[60i, 60i + 6)` (dense new structure, raises trussness) and
@@ -100,7 +97,7 @@ fn sixteen_clients_hammer_while_writer_rotates() {
         let expected = Arc::clone(&expected);
         let checksums = Arc::clone(&checksums);
         clients.push(std::thread::spawn(move || {
-            let mut client = connect_retry(&addr);
+            let mut client = Client::connect(&addr).unwrap();
             for i in 0..QUERIES_PER_CLIENT {
                 let req = match (t + i) % 5 {
                     0 => Request::Spectrum,
@@ -136,7 +133,7 @@ fn sixteen_clients_hammer_while_writer_rotates() {
         let checksums = Arc::clone(&checksums);
         let deltas = deltas.clone();
         std::thread::spawn(move || {
-            let mut client = connect_retry(&addr);
+            let mut client = Client::connect(&addr).unwrap();
             for (i, d) in deltas.iter().enumerate() {
                 std::thread::sleep(Duration::from_millis(15));
                 let reply = client
@@ -169,7 +166,7 @@ fn sixteen_clients_hammer_while_writer_rotates() {
         }
     }
     let scratch = TrussIndex::from_decompose(CsrGraph::from_edges(edges.iter().copied()));
-    let mut client = connect_retry(&addr);
+    let mut client = Client::connect(&addr).unwrap();
     let (gen, checksum) = handle.generation();
     assert_eq!(gen, BATCHES as u64);
     assert_eq!(checksum, checksums[BATCHES]);
@@ -193,51 +190,156 @@ fn sixteen_clients_hammer_while_writer_rotates() {
         }
     }
     drop(client);
-    handle.shutdown();
+    handle.trigger_shutdown();
+    join_within(handle, "after the hammer");
+}
+
+// ---------------------------------------------------------------------------
+// Graceful shutdown: a lost wake hangs `join`, so every join has a deadline
+
+/// Joins `handle` on another thread: a server still running after 10 s
+/// fails the test instead of stalling the suite.
+fn join_within(handle: ServerHandle, what: &str) {
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        handle.join();
+        let _ = tx.send(());
+    });
+    if let Err(e) = rx.recv_timeout(Duration::from_secs(10)) {
+        panic!("{what}: join: {e}");
+    }
+}
+
+/// A two-reader WAL daemon over the saved index at `path`.
+fn wal_daemon(path: &Path) -> ServerHandle {
+    let config = ServeConfig {
+        threads: 2,
+        snapshot_path: None,
+        wal: Some(WalConfig::new(path.with_extension("log"))),
+    };
+    Server::open_with(path, "127.0.0.1:0", config).unwrap()
+}
+
+fn status_then_shutdown(client: &mut Client) {
+    let status = client.request(&Request::Status).unwrap();
+    assert!(matches!(status.body, Ok(Response::Status(_))), "{status:?}");
+    let bye = client.request(&Request::Shutdown).unwrap();
+    assert!(matches!(bye.body, Ok(Response::ShuttingDown)), "{bye:?}");
+}
+
+/// perfbench's set-up sequence in process, 200 times: `status` and a
+/// remote `shutdown` on one connection, while the other reader is
+/// blocked in `accept`.
+#[test]
+fn wal_daemon_joins_after_status_and_remote_shutdown() {
+    let dir = TempDir::new("serve-status-shutdown");
+    let path = saved_index(&dir);
+    for round in 0..200 {
+        let handle = wal_daemon(&path);
+        status_then_shutdown(&mut Client::connect(handle.addr()).unwrap());
+        join_within(handle, &format!("round {round}"));
+    }
+}
+
+/// The same sequence against `truss serve --wal`: exit 0, 20 times.
+#[test]
+fn cli_wal_daemon_exits_zero_after_status_and_shutdown() {
+    let dir = TempDir::new("serve-cli-shutdown");
+    let path = saved_index(&dir);
+    let wal = &dir.file("serve.log");
+    for round in 0..20 {
+        let mut daemon = spawn_serve(&path, &["--wal", wal], None);
+        status_then_shutdown(&mut daemon.client());
+        assert!(daemon.wait().success(), "round {round}");
+    }
+}
+
+/// Shutdown while more idle clients than readers hold connections, one
+/// of them mid-frame: each reader blocked in `read` must be woken. The
+/// remote round leaves one reader free to serve the `shutdown`.
+#[test]
+fn shutdown_wakes_readers_blocked_on_idle_clients() {
+    let dir = TempDir::new("serve-idle-shutdown");
+    let path = saved_index(&dir);
+    for remote in [false, true] {
+        let handle = wal_daemon(&path);
+        let held: Vec<TcpStream> = (0..2 - remote as usize)
+            .map(|_| {
+                // A reply shows that a reader holds the connection.
+                let mut conn = TcpStream::connect(handle.addr()).unwrap();
+                write_frame(&mut conn, &encode_request(&Request::Status)).unwrap();
+                read_frame(&mut conn, MAX_RESPONSE_FRAME).unwrap().unwrap();
+                conn
+            })
+            .collect();
+        // Half a frame: a 16-byte length and 2 bytes of body.
+        (&held[0]).write_all(&[16, 0, 0, 0, 1, 2]).unwrap();
+        // Connected ahead of the idle clients, so the free reader takes it.
+        let closer = remote.then(|| Client::connect(handle.addr()).unwrap());
+        let _idle: Vec<TcpStream> = (0..3)
+            .map(|_| TcpStream::connect(handle.addr()).unwrap())
+            .collect();
+        match closer {
+            Some(mut client) => {
+                let bye = client.request(&Request::Shutdown).unwrap();
+                assert!(matches!(bye.body, Ok(Response::ShuttingDown)), "{bye:?}");
+            }
+            None => handle.trigger_shutdown(),
+        }
+        join_within(handle, &format!("remote {remote}"));
+        for mut conn in held {
+            assert_eq!(conn.read(&mut [0]).unwrap(), 0, "the daemon closes it");
+        }
+    }
+}
+
+/// An update pipelined ahead of a `shutdown` is acked, durably: a
+/// restart over the same snapshot and log serves its generation.
+#[test]
+fn update_ahead_of_shutdown_is_acked() {
+    let dir = TempDir::new("serve-update-shutdown");
+    let path = saved_index(&dir);
+    let handle = wal_daemon(&path);
+    let update = Request::Update {
+        base_generation: GENERATION_ANY,
+        delta: one_clique_delta(),
+    };
+    let mut frames = Vec::new();
+    for req in [update, Request::Shutdown] {
+        write_frame(&mut frames, &encode_request(&req)).unwrap();
+    }
+    let mut conn = TcpStream::connect(handle.addr()).unwrap();
+    conn.write_all(&frames).unwrap();
+    let mut reply = || decode_reply(&read_frame(&mut conn, MAX_RESPONSE_FRAME).unwrap().unwrap());
+    let ack = reply().unwrap();
+    assert!(
+        matches!(ack.body, Ok(Response::Update(_))) && ack.generation == 1,
+        "{ack:?}"
+    );
+    assert!(matches!(reply().unwrap().body, Ok(Response::ShuttingDown)));
+    join_within(handle, "after an update");
+
+    let restarted = wal_daemon(&path);
+    assert_eq!(restarted.generation(), (1, ack.checksum));
+    restarted.trigger_shutdown();
+    join_within(restarted, "after a restart");
 }
 
 // ---------------------------------------------------------------------------
 // Rotation fault injection (child-process harness)
 
-fn truss_bin() -> Command {
-    Command::new(env!("CARGO_BIN_EXE_truss"))
-}
-
-fn temp_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("truss-serve-test-{}-{name}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
 /// Builds and saves a small v2 index, returning its path.
-fn saved_index(dir: &Path) -> PathBuf {
+fn saved_index(dir: &TempDir) -> PathBuf {
     let path = dir.join("serve.t2");
     let index = TrussIndex::from_decompose(gnm(120, 500, 42));
     index.save_as(&path, IndexFormat::V2).unwrap();
     path
 }
 
-/// A free port for a child daemon (bind-and-release; raceable in theory,
-/// fine for a test that retries its connects).
-fn free_port() -> u16 {
-    TcpListener::bind("127.0.0.1:0")
-        .unwrap()
-        .local_addr()
-        .unwrap()
-        .port()
-}
-
-fn spawn_serve(index: &Path, port: u16, failpoints: Option<&str>) -> Child {
-    let mut cmd = truss_bin();
-    cmd.args(["serve", "--port", &port.to_string(), "--threads", "2"])
-        .arg(index)
-        .stdout(Stdio::null())
-        .stderr(Stdio::null());
-    if let Some(spec) = failpoints {
-        cmd.env("TRUSS_FAILPOINTS", spec);
-    }
-    cmd.spawn().unwrap()
+/// A two-reader daemon over `index`, with `args` before it.
+fn spawn_serve(index: &Path, args: &[&str], failpoints: Option<&str>) -> Daemon {
+    let index = index.to_str().unwrap();
+    Daemon::spawn(&[args, &["--threads", "2", index]].concat(), failpoints).unwrap()
 }
 
 fn one_clique_delta() -> EdgeDelta {
@@ -257,13 +359,12 @@ fn one_clique_delta() -> EdgeDelta {
 /// rename must leave the old snapshot untouched, valid, and servable.
 #[test]
 fn crash_before_rename_preserves_the_old_snapshot() {
-    let dir = temp_dir("crash-before");
+    let dir = TempDir::new("serve-crash-before");
     let path = saved_index(&dir);
     let before = truss_decomposition::storage::snapshot_checksum(&path).unwrap();
 
-    let port = free_port();
-    let mut child = spawn_serve(&path, port, Some("rotate-before-rename=crash"));
-    let mut client = connect_retry(&format!("127.0.0.1:{port}"));
+    let mut daemon = spawn_serve(&path, &[], Some("rotate-before-rename=crash"));
+    let mut client = daemon.client();
     // The update reaches the abort() before any reply: the transport
     // must fail, not hang.
     let res = client.request(&Request::Update {
@@ -271,7 +372,7 @@ fn crash_before_rename_preserves_the_old_snapshot() {
         delta: one_clique_delta(),
     });
     assert!(res.is_err(), "server aborted; got {res:?}");
-    let status = child.wait().unwrap();
+    let status = daemon.wait();
     assert!(!status.success(), "the crash hook must abort the daemon");
 
     // Old snapshot: byte-identical, still opens, still answers.
@@ -285,21 +386,19 @@ fn crash_before_rename_preserves_the_old_snapshot() {
     assert!(answer(&index, &Request::Spectrum).is_ok());
 
     // And a fresh daemon serves it at generation 0 with its checksum.
-    let port = free_port();
-    let mut child = spawn_serve(&path, port, None);
-    let mut client = connect_retry(&format!("127.0.0.1:{port}"));
+    let mut daemon = spawn_serve(&path, &[], None);
+    let mut client = daemon.client();
     let reply = client.request(&Request::Status).unwrap();
     assert_eq!((reply.generation, reply.checksum), (0, before));
     let _ = client.request(&Request::Shutdown);
-    assert!(child.wait().unwrap().success());
-    let _ = std::fs::remove_dir_all(&dir);
+    assert!(daemon.wait().success());
 }
 
 /// Killing the daemon right *after* the rename must leave the *new*
 /// snapshot in place — the rename is the commit point.
 #[test]
 fn crash_after_rename_commits_the_new_snapshot() {
-    let dir = temp_dir("crash-after");
+    let dir = TempDir::new("serve-crash-after");
     let path = saved_index(&dir);
     let before = truss_decomposition::storage::snapshot_checksum(&path).unwrap();
 
@@ -310,15 +409,14 @@ fn crash_after_rename_commits_the_new_snapshot() {
     let after = index_checksum(&upd).unwrap();
     assert_ne!(before, after);
 
-    let port = free_port();
-    let mut child = spawn_serve(&path, port, Some("rotate-after-rename=crash"));
-    let mut client = connect_retry(&format!("127.0.0.1:{port}"));
+    let mut daemon = spawn_serve(&path, &[], Some("rotate-after-rename=crash"));
+    let mut client = daemon.client();
     let res = client.request(&Request::Update {
         base_generation: GENERATION_ANY,
         delta: one_clique_delta(),
     });
     assert!(res.is_err(), "server aborted; got {res:?}");
-    assert!(!child.wait().unwrap().success());
+    assert!(!daemon.wait().success());
 
     assert_eq!(
         truss_decomposition::storage::snapshot_checksum(&path).unwrap(),
@@ -328,7 +426,6 @@ fn crash_after_rename_commits_the_new_snapshot() {
     let (index, _) =
         TrussIndex::load_with(&path, truss_decomposition::storage::LoadMode::Auto).unwrap();
     assert_eq!(index.truss_of(0, 1), upd.truss_of(0, 1));
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 // ---------------------------------------------------------------------------
@@ -339,15 +436,12 @@ fn crash_after_rename_commits_the_new_snapshot() {
 /// formatter); the legacy `truss index query` must agree too.
 #[test]
 fn local_and_remote_query_stdout_is_byte_identical() {
-    let dir = temp_dir("golden");
+    let dir = TempDir::new("serve-golden");
     let path = saved_index(&dir);
     let path_s = path.to_str().unwrap();
 
-    let port = free_port();
-    let mut child = spawn_serve(&path, port, None);
-    // Wait for readiness before racing CLI queries against the bind.
-    drop(connect_retry(&format!("127.0.0.1:{port}")));
-    let remote = format!("127.0.0.1:{port}");
+    let mut daemon = spawn_serve(&path, &[], None);
+    let remote = daemon.addr.clone();
 
     // One present edge to query, straight from the index.
     let (index, _) =
@@ -363,44 +457,19 @@ fn local_and_remote_query_stdout_is_byte_identical() {
         vec!["--query", "community-of", "--v", &u, "--k", "3"],
     ];
     for case in &cases {
-        let local = truss_bin()
-            .arg("query")
-            .args(case)
-            .arg(path_s)
-            .output()
-            .unwrap();
-        assert!(local.status.success(), "local {case:?}: {local:?}");
-        let remote_out = truss_bin()
-            .arg("query")
-            .args(["--remote", &remote])
-            .args(case)
-            .output()
-            .unwrap();
-        assert!(
-            remote_out.status.success(),
-            "remote {case:?}: {remote_out:?}"
-        );
-        assert_eq!(
-            local.stdout, remote_out.stdout,
-            "stdout differs for {case:?}"
-        );
+        let (local, _) = truss_ok(&[&["query"], &case[..], &[path_s]].concat());
+        let (remote_out, _) = truss_ok(&[&["query", "--remote", &remote], &case[..]].concat());
+        assert_eq!(local, remote_out, "stdout differs for {case:?}");
         // The legacy surface serves the same four query kinds.
         if case[1] != "community-of" {
-            let legacy = truss_bin()
-                .args(["index", "query"])
-                .args(case)
-                .arg(path_s)
-                .output()
-                .unwrap();
-            assert!(legacy.status.success(), "legacy {case:?}: {legacy:?}");
-            assert_eq!(local.stdout, legacy.stdout, "legacy differs for {case:?}");
+            let (legacy, _) = truss_ok(&[&["index", "query"], &case[..], &[path_s]].concat());
+            assert_eq!(local, legacy, "legacy differs for {case:?}");
         }
     }
 
     // Remote graceful shutdown: the daemon must exit 0.
-    let mut client = connect_retry(&remote);
+    let mut client = daemon.client();
     let reply = client.request(&Request::Shutdown).unwrap();
     assert!(matches!(reply.body, Ok(Response::ShuttingDown)));
-    assert!(child.wait().unwrap().success());
-    let _ = std::fs::remove_dir_all(&dir);
+    assert!(daemon.wait().success());
 }
